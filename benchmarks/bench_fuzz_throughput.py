@@ -5,7 +5,7 @@ number of cases, so this benchmark measures end-to-end cases/second —
 plan generation, scheduling (cache warm after the first few distinct
 DFGs), program build, and all three oracle legs — and asserts a floor
 well below typical machines so it never flakes, while ``record`` leaves
-the real number in ``benchmarks/results.txt``.
+the real number in ``benchmarks/results-<timestamp>.txt``.
 """
 
 import random

@@ -7,9 +7,7 @@ Modes:
   replayable JSON files under ``--save-dir``;
 * ``--replay case.json`` — re-run one saved case and report its verdict;
 * ``--smoke`` — replay every checked-in corpus case plus a small random
-  batch; sized for a sub-minute CI job.  Smoke cases run the oracle with
-  ``both_modes=True``, so the batched fast path (docs/PERFORMANCE.md) is
-  checked against the slow path as a fourth leg on every CI run.
+  batch; sized for a sub-minute CI job.
 * ``--faults`` — run each random case under a random fault plan
   (``repro.resilience``).  A case only counts as a failure when a fault
   *escapes the diagnostics*: a non-SimError crash, or a SimError without
@@ -81,7 +79,7 @@ def _fault_escapes(report) -> List[str]:
     return escapes
 
 
-def _replay(path: pathlib.Path, seed: int, both_modes: bool = False) -> int:
+def _replay(path: pathlib.Path, seed: int) -> int:
     try:
         plan = plan_from_json(path.read_text())
     except OSError as exc:
@@ -89,8 +87,7 @@ def _replay(path: pathlib.Path, seed: int, both_modes: bool = False) -> int:
     except (PlanError, ValueError) as exc:
         raise SystemExit(f"error: {path} is not a valid case file: {exc}")
     try:
-        report = run_case(plan, rng=_check_rng(seed, plan.name),
-                          both_modes=both_modes)
+        report = run_case(plan, rng=_check_rng(seed, plan.name))
     except PlanError as exc:
         raise SystemExit(f"error: {path} violates plan legality: {exc}")
     if report.ok:
@@ -113,7 +110,7 @@ def cmd_fuzz(args) -> int:
     replayed = 0
     if args.smoke:
         for path in corpus_paths():
-            failures += _replay(path, args.seed, both_modes=True)
+            failures += _replay(path, args.seed)
             replayed += 1
 
     count = args.count if args.count is not None else (
@@ -147,7 +144,7 @@ def cmd_fuzz(args) -> int:
                         _faulted_run_case(p, fault_plan))))
                 print(f"  shrunk to {build_num_commands(plan)} commands")
         else:
-            report = run_case(plan, rng=rng, both_modes=args.smoke)
+            report = run_case(plan, rng=rng)
             ran += 1
             if report.ok:
                 continue

@@ -21,7 +21,7 @@ instance count, or leftover port data — is reported as a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.isa.interpreter import FunctionalDeadlock, interpret_program
@@ -205,21 +205,13 @@ def diff_stores(got: BackingStore, want: BackingStore,
 def run_case(plan: CasePlan,
              rng: Optional[random.Random] = None,
              faults=None,
-             params: Optional[SoftbrainParams] = None,
-             both_modes: bool = False) -> OracleReport:
+             params: Optional[SoftbrainParams] = None) -> OracleReport:
     """Run one plan through all three implementations and compare.
 
     ``faults`` (a :class:`repro.resilience.FaultInjector`) and ``params``
     apply to the cycle-level leg only; the interpreter and the pure
     evaluation always run fault-free, so under injection they serve as the
     reference against which a fault's effect is classified.
-
-    ``both_modes`` adds a fourth oracle leg: the cycle-level simulator is
-    rerun with ``fast_path`` inverted and the two runs must agree
-    bit-for-bit (stats, memory pages, scratchpad, command timeline).  Any
-    disagreement is a ``fastpath-*`` divergence.  Ignored under fault
-    injection — the injector is single-use and the fast path disables
-    itself when faults are armed, so the comparison would be meaningless.
     """
     built = build_case(plan)
     expected = evaluate_case(built)
@@ -235,26 +227,20 @@ def run_case(plan: CasePlan,
 
     workload = BuiltWorkload(plan.name, built.program, built.fabric,
                              built.fresh_memory(), verify)
-    result = None
-    sim_outcome = ("ok", "")
     try:
         result = run_and_verify(workload, rng=rng, faults=faults,
                                 params=params)
     except VerificationError as exc:
-        sim_outcome = ("sim-memory", str(exc))
         report.divergences.append(Divergence("sim-memory", str(exc),
                                              exception=exc))
     except (SimulationDeadlock, SimulationLimit) as exc:
-        sim_outcome = ("sim-deadlock", str(exc))
         report.divergences.append(Divergence("sim-deadlock", str(exc),
                                              exception=exc))
     except SimError as exc:  # structured port/scratch/command failures
-        sim_outcome = ("sim-error", f"{type(exc).__name__}: {exc}")
         report.divergences.append(
             Divergence("sim-error", f"{type(exc).__name__}: {exc}",
                        exception=exc))
     except Exception as exc:  # anything unstructured is a diagnostics bug
-        sim_outcome = ("sim-crash", f"{type(exc).__name__}: {exc}")
         report.divergences.append(
             Divergence("sim-crash", f"{type(exc).__name__}: {exc}",
                        exception=exc))
@@ -268,11 +254,6 @@ def run_case(plan: CasePlan,
             report.divergences.append(Divergence(
                 "sim-instances",
                 f"fired {result.stats.instances_fired}, expected {instances}"))
-
-    # -- leg 1b: the other execution mode ------------------------------------
-    if both_modes and faults is None:
-        report.divergences.extend(_other_mode_leg(
-            plan, built, verify, rng, params, result, sim_outcome))
 
     # -- leg 2: functional interpreter ---------------------------------------
     store = built.fresh_store()
@@ -303,76 +284,6 @@ def run_case(plan: CasePlan,
                 Divergence("interp-leftover",
                            f"undrained port data: {leftover}"))
     return report
-
-
-def _other_mode_leg(plan, built, verify, rng, params, result,
-                    sim_outcome) -> List[Divergence]:
-    """Rerun the simulator leg with ``fast_path`` inverted and compare.
-
-    The fast path is contractually a pure optimisation, so *everything*
-    observable must match the slow path: failure classification on
-    aborting runs; stats, memory pages, scratchpad image and command
-    timeline on completing ones.
-    """
-    base = params if params is not None else SoftbrainParams()
-    alt_params = replace(base, fast_path=not base.fast_path)
-    workload = BuiltWorkload(plan.name, built.program, built.fabric,
-                             built.fresh_memory(), verify)
-    alt_result = None
-    alt_outcome = ("ok", "")
-    try:
-        alt_result = run_and_verify(workload, rng=rng, params=alt_params)
-    except VerificationError as exc:
-        alt_outcome = ("sim-memory", str(exc))
-    except (SimulationDeadlock, SimulationLimit) as exc:
-        alt_outcome = ("sim-deadlock", str(exc))
-    except SimError as exc:
-        alt_outcome = ("sim-error", f"{type(exc).__name__}: {exc}")
-    except Exception as exc:
-        alt_outcome = ("sim-crash", f"{type(exc).__name__}: {exc}")
-
-    label = (f"fast_path={base.fast_path} vs {alt_params.fast_path}")
-    if sim_outcome[0] != alt_outcome[0]:
-        return [Divergence(
-            "fastpath-behavior",
-            f"{label}: {sim_outcome[0] or 'ok'} vs {alt_outcome[0] or 'ok'} "
-            f"({sim_outcome[1] or alt_outcome[1]})")]
-    if result is None or alt_result is None:
-        return []  # both legs aborted identically; nothing more to compare
-
-    out: List[Divergence] = []
-    got, want = result.stats.to_dict(), alt_result.stats.to_dict()
-    if got != want:
-        keys = [k for k in got if got.get(k) != want.get(k)]
-        out.append(Divergence(
-            "fastpath-stats",
-            f"{label}: " + "; ".join(
-                f"{k}: {got.get(k)} vs {want.get(k)}" for k in keys[:4])))
-    mem_got = vars(result.memory.stats)
-    mem_want = vars(alt_result.memory.stats)
-    if mem_got != mem_want:
-        out.append(Divergence("fastpath-stats",
-                              f"{label}: memory stats {mem_got} vs {mem_want}"))
-    mismatches = diff_stores(result.memory.store, alt_result.memory.store)
-    if mismatches:
-        out.append(Divergence("fastpath-memory",
-                              f"{label}: " + "; ".join(mismatches)))
-    if result.scratchpad.snapshot() != alt_result.scratchpad.snapshot():
-        out.append(Divergence(
-            "fastpath-scratch",
-            f"{label}: " + _scratch_diff(result.scratchpad.snapshot(),
-                                         alt_result.scratchpad.snapshot())))
-    got_tl = [(t.index, t.enqueued, t.dispatched, t.completed)
-              for t in result.timeline]
-    want_tl = [(t.index, t.enqueued, t.dispatched, t.completed)
-               for t in alt_result.timeline]
-    if got_tl != want_tl:
-        bad = next((pair for pair in zip(got_tl, want_tl)
-                    if pair[0] != pair[1]),
-                   (("len", len(got_tl)), ("len", len(want_tl))))
-        out.append(Divergence(
-            "fastpath-timeline", f"{label}: first mismatch {bad[0]} vs {bad[1]}"))
-    return out
 
 
 def _scratch_diff(got: bytes, want: bytes) -> str:

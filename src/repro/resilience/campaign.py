@@ -21,11 +21,8 @@ aimed inside the baseline run window.  Each faulted run is classified:
 
 Anything else is a campaign **failure**: ``unstructured`` (a non-SimError
 escaped — the diagnostics layer has a hole), ``undiagnosed`` (a SimError
-without a crash dump), ``nondeterministic`` (the same seed did not
-reproduce the same outcome/report), or ``mode-divergent`` (the outcome
-changed when the ``fast_path`` parameter was flipped — impossible while
-the fast path honours its contract of disabling itself under injection,
-see docs/PERFORMANCE.md).  A campaign with zero failures is the
+without a crash dump), or ``nondeterministic`` (the same seed did not
+reproduce the same outcome/report).  A campaign with zero failures is the
 acceptance property: *no injected fault ever produces a silent wrong
 answer or an undiagnosed crash*.
 """
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..sim.softbrain import SoftbrainParams
@@ -43,8 +40,7 @@ from .faults import FAULT_KINDS, FaultInjector, FaultPlan, random_spec
 #: oracle divergence kinds meaning "SimError raised" (see fuzz.oracle)
 DETECTED_KINDS = ("sim-error", "sim-deadlock")
 #: classifications that fail a campaign
-BAD_CLASSIFICATIONS = ("unstructured", "undiagnosed", "nondeterministic",
-                       "mode-divergent")
+BAD_CLASSIFICATIONS = ("unstructured", "undiagnosed", "nondeterministic")
 #: cycle ceiling for faulted runs (delays/stalls make programs slower,
 #: but a bounded limit keeps a livelocked run from hanging the campaign)
 DEFAULT_MAX_CYCLES = 300_000
@@ -142,9 +138,7 @@ def run_campaign(
             name = f"fault-{seed}-{case_index}"
             plan = random_plan(random.Random(f"faultcase:{seed}:{case_index}"),
                                name=name)
-            # both_modes: the clean baseline doubles as a fast-vs-slow
-            # equivalence check (fourth oracle leg) for free.
-            baseline = run_case(plan, both_modes=True)
+            baseline = run_case(plan)
             if not baseline.ok:
                 # A clean-run divergence is the fuzzer's jurisdiction, not
                 # a fault-detection result; skip rather than misclassify.
@@ -172,9 +166,9 @@ def _run_one(run_case, plan, name: str, seed: int, kind: str, window: int,
     spec = _spec_for(seed, name, kind, window)
     fault_plan = FaultPlan(f"{name}:{kind}", [spec])
 
-    def faulted_run(run_params=params):
+    def faulted_run():
         injector = FaultInjector(FaultPlan.from_dict(fault_plan.to_dict()))
-        return run_case(plan, faults=injector, params=run_params), injector
+        return run_case(plan, faults=injector, params=params), injector
 
     report, injector = faulted_run()
     classification, detail, failure_report = _classify(report, injector)
@@ -194,24 +188,6 @@ def _run_one(run_case, plan, name: str, seed: int, kind: str, window: int,
             outcome.classification = "nondeterministic"
             outcome.detail = (f"rerun classified {classification2!r}, "
                               f"first run {classification!r}")
-            return outcome
-
-        # Mode insensitivity: flipping fast_path must not change the
-        # outcome (the injector forces the slow path either way, so a
-        # difference means the fast path engaged under faults — a bug).
-        flipped = replace(params, fast_path=not params.fast_path)
-        report3, injector3 = faulted_run(flipped)
-        classification3, _detail3, failure_report3 = _classify(
-            report3, injector3)
-        same = classification3 == classification
-        if same and failure_report is not None:
-            same = failure_report3 is not None and (
-                failure_report.to_json() == failure_report3.to_json())
-        if not same:
-            outcome.classification = "mode-divergent"
-            outcome.detail = (
-                f"fast_path={flipped.fast_path} classified "
-                f"{classification3!r}, first run {classification!r}")
             return outcome
 
     if failure_report is not None and dump_dir:

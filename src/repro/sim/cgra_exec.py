@@ -13,7 +13,7 @@ list so the per-firing cost in the simulator stays small.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.compiler.config import CgraConfig
 from ..core.dfg.graph import Constant, Dfg
@@ -21,7 +21,6 @@ from ..core.dfg.instructions import (
     ACCUMULATOR_OPS,
     WORD_BITS,
     WORD_MASK,
-    accumulate_combine,
     accumulator_identity,
     get_operation,
     mask_word,
@@ -31,13 +30,13 @@ from .vector_port import VectorPortState
 
 
 def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
-    """Specialise one DFG step into a closure (fast path only).
+    """Specialise one DFG step into a closure ``step(values, state)``.
 
     The closures replicate :meth:`Operation.evaluate` /
     :func:`accumulate_combine` arithmetic exactly — same ``to_signed`` /
     ``from_signed`` lane math — just without per-call validation, lane
-    splitting into lists, or operand-list allocation.  Bit-identical
-    output is enforced by tests/test_property_fastpath.py.
+    splitting into lists, or operand-list allocation.  Agreement with
+    :meth:`Dfg.execute` is enforced by tests/test_property_fastpath.py.
     """
     lane_mask = (1 << lane_bits) - 1
     sign = 1 << (lane_bits - 1)
@@ -119,13 +118,12 @@ def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
 class CompiledDfg:
     """Index-flattened executor for one DFG (much faster than Dfg.execute).
 
-    With ``specialize=True`` (fast path) each step additionally gets a
-    precompiled closure; :meth:`run` then avoids the generic
-    :meth:`Operation.evaluate` machinery while producing bit-identical
-    results.
+    Each instruction becomes one closure (:func:`_compile_step`) over an
+    index-addressed value list; :meth:`run` calls them in topological
+    order.
     """
 
-    def __init__(self, dfg: Dfg, specialize: bool = False) -> None:
+    def __init__(self, dfg: Dfg) -> None:
         self.dfg = dfg
         index: Dict[Tuple[str, int], int] = {}
         self.input_slots: List[Tuple[str, int, int]] = []  # (port, lane, idx)
@@ -135,8 +133,7 @@ class CompiledDfg:
                 self.input_slots.append((name, lane, index[(name, lane)]))
         self.num_inputs = len(index)
 
-        #: (operation, lane bits, operand spec, out index, acc slot or -1)
-        self.steps: List[Tuple] = []
+        self.steps: List[Callable[[List[int], List[int]], None]] = []
         self.acc_identity: List[int] = []  # identity word per accumulator slot
         for inst in dfg.topological_order():
             out_idx = len(index)
@@ -148,31 +145,21 @@ class CompiledDfg:
                 else:
                     operand_spec.append((False, index[(operand.node, operand.lane)]))
             acc_slot = -1
+            identity = 0
             if inst.is_accumulator:
                 acc_slot = len(self.acc_identity)
-                self.acc_identity.append(
-                    accumulator_identity(inst.op.name, inst.lane_bits)
-                )
-            self.steps.append(
-                (inst.op, inst.lane_bits, tuple(operand_spec), out_idx, acc_slot)
-            )
+                identity = accumulator_identity(inst.op.name, inst.lane_bits)
+                self.acc_identity.append(identity)
+            self.steps.append(_compile_step(
+                inst.op, inst.lane_bits, tuple(operand_spec), out_idx,
+                acc_slot, identity,
+            ))
         self.num_values = len(index)
 
         self.output_slots: List[Tuple[str, List[int]]] = [
             (name, [index[(ref.node, ref.lane)] for ref in port.sources])
             for name, port in dfg.outputs.items()
         ]
-
-        self._fast_steps = None
-        if specialize:
-            self._fast_steps = [
-                _compile_step(
-                    op, lane_bits, operand_spec, out_idx, acc_slot,
-                    self.acc_identity[acc_slot] if acc_slot >= 0 else 0,
-                )
-                for op, lane_bits, operand_spec, out_idx, acc_slot
-                in self.steps
-            ]
 
     def make_state(self) -> List[int]:
         return list(self.acc_identity)
@@ -184,29 +171,8 @@ class CompiledDfg:
         values = [0] * self.num_values
         for port_name, lane, idx in self.input_slots:
             values[idx] = inputs[port_name][lane]
-        if self._fast_steps is not None:
-            for step in self._fast_steps:
-                step(values, state)
-            return {
-                name: [values[i] for i in slots]
-                for name, slots in self.output_slots
-            }
-        for op, lane_bits, operand_spec, out_idx, acc_slot in self.steps:
-            operands = [
-                const if is_const else values[const]
-                for is_const, const in operand_spec
-            ]
-            if acc_slot >= 0:
-                value, reset = operands
-                total = accumulate_combine(
-                    op.name, state[acc_slot], value, lane_bits
-                )
-                values[out_idx] = total
-                state[acc_slot] = (
-                    self.acc_identity[acc_slot] if reset else total
-                )
-            else:
-                values[out_idx] = op.evaluate(operands, lane_bits)
+        for step in self.steps:
+            step(values, state)
         return {
             name: [values[i] for i in slots] for name, slots in self.output_slots
         }
@@ -218,9 +184,7 @@ class CgraExecutor:
     def __init__(self, sim: "SoftbrainSim", config: CgraConfig) -> None:  # noqa: F821
         self.sim = sim
         self.config = config
-        self.compiled = CompiledDfg(
-            config.dfg, specialize=getattr(sim, "fast_path_on", False)
-        )
+        self.compiled = CompiledDfg(config.dfg)
         self.state = self.compiled.make_state()
         self.in_flight = 0
 

@@ -49,14 +49,16 @@ class Dispatcher:
         self.queue: Deque[CommandTrace] = deque()
         self.busy_ports: Dict[Tuple[str, int], int] = {}
         self.issued_total = 0
-        # Fast-path scan cache: a full scan that issued nothing is valid
-        # until sim.dispatch_version changes (enqueue / port release /
-        # stream completion / config apply).  "quiesce" verdicts also
-        # depend on sim.quiesced(), which changes without a version bump,
-        # so they re-check only that predicate per cycle.
+        # Scan cache: a full scan that issued nothing is valid until
+        # sim.dispatch_version changes (enqueue / port release / stream
+        # completion / config apply).  "quiesce" verdicts also depend on
+        # sim.quiesced(), which changes without a version bump, so they
+        # re-check only that predicate per cycle.
         self._cache_version = -1
         self._cache_kind = ""  # "hard" | "quiesce"
         self._used_quiesce = False
+        #: (timeline index, first cycle) of the barrier blocking the head
+        self._barrier_blocked: Tuple[int, int] = (-1, 0)
 
     # -- core-facing interface ---------------------------------------------------
 
@@ -107,8 +109,7 @@ class Dispatcher:
         if self.sim.config_pending:
             return False  # reconfiguration in flight orders everything
 
-        use_cache = self.sim.fast_path_on
-        if use_cache and self._cache_version == self.sim.dispatch_version:
+        if self._cache_version == self.sim.dispatch_version:
             # Nothing the scan depends on changed since it last came up
             # empty; "quiesce" verdicts must still watch the one predicate
             # that moves without a version bump.
@@ -121,19 +122,16 @@ class Dispatcher:
             command = trace.command
 
             if is_barrier(command):
-                sink = self.sim.trace
                 if position == 0 and self._barrier_met(command):
                     self.queue.popleft()
                     trace.dispatched = cycle
                     trace.completed = cycle
+                    sink = self.sim.trace
                     if sink.enabled:
                         self._trace_barrier_release(sink, trace, cycle)
                     return True
-                if sink.enabled and position == 0:
-                    sink.emit(TraceEvent(
-                        "barrier.wait", cycle, self.sim.unit, "dispatcher",
-                        {"index": trace.index, "command": trace.label},
-                    ))
+                if position == 0 and self._barrier_blocked[0] != trace.index:
+                    self._barrier_blocked = (trace.index, cycle)
                 return self._blocked()  # nothing may pass a pending barrier
 
             if isinstance(command, SDConfig) and not self._resources_free(command):
@@ -169,16 +167,23 @@ class Dispatcher:
         return self._blocked()
 
     def _blocked(self) -> bool:
-        """Record that a full scan issued nothing (fast-path cache)."""
-        if self.sim.fast_path_on:
-            self._cache_version = self.sim.dispatch_version
-            self._cache_kind = "quiesce" if self._used_quiesce else "hard"
+        """Record that a full scan issued nothing (scan cache)."""
+        self._cache_version = self.sim.dispatch_version
+        self._cache_kind = "quiesce" if self._used_quiesce else "hard"
         return False
 
     def _trace_barrier_release(self, sink, trace: CommandTrace,
                                cycle: int) -> None:
         """Barriers dispatch and complete in the same cycle — emit both
-        lifetime events so every timeline index appears in the trace."""
+        lifetime events so every timeline index appears in the trace,
+        preceded by one ``barrier.wait`` carrying the cycles the barrier
+        blocked at the queue head (0 if it released on arrival)."""
+        index, since = self._barrier_blocked
+        sink.emit(TraceEvent(
+            "barrier.wait", cycle, self.sim.unit, "dispatcher",
+            {"index": trace.index, "command": trace.label,
+             "cycles": cycle - since if index == trace.index else 0},
+        ))
         common = {"index": trace.index, "command": trace.label,
                   "engine": "barrier"}
         sink.emit(TraceEvent(

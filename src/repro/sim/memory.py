@@ -90,8 +90,8 @@ class BackingStore:
 
         Functionally identical to calling ``read_extended`` per address —
         including materialising the touched pages, so
-        :meth:`snapshot_pages` is unaffected by which variant ran.  The
-        fast common case (element fully inside one page) skips the
+        :meth:`snapshot_pages` sees the same pages either way.  The
+        common case (element fully inside one page) skips the
         per-read ``bytearray`` assembly of :meth:`read`.
         """
         out = []
@@ -155,13 +155,6 @@ class MemorySystem:
         self._accepted_at: int = -1
         self._accepted_count: int = 0
         self._dram_free_at: int = 0
-        #: fast-path burst reservation: a stream engine that pre-issued a
-        #: burst owns every accept slot before this cycle (see
-        #: docs/PERFORMANCE.md); 0 = no reservation
-        self._reserved_until: int = 0
-        #: Softbrain units attached to this memory (multi-unit runs share
-        #: one MemorySystem; bursts are only legal with a single requester)
-        self.units_attached: int = 0
         self.trace: TraceSink = NULL_SINK
         self._trace_unit = SHARED_UNIT
         #: optional fault injector (``mem.delay`` faults); None = no cost
@@ -189,23 +182,7 @@ class MemorySystem:
 
     # -- timing -----------------------------------------------------------------
 
-    def register_unit(self) -> None:
-        """Count one more Softbrain unit using this memory interface."""
-        self.units_attached += 1
-
-    def reserve_window(self, until_cycle: int) -> None:
-        """Reserve every accept slot strictly before ``until_cycle``.
-
-        Used by the fast path after pre-issuing a burst: the slow path
-        would have consumed one accept per covered cycle, so any other
-        would-be requester must see the interface as busy for the whole
-        window to keep timing bit-identical.
-        """
-        self._reserved_until = until_cycle
-
     def can_accept(self, cycle: int) -> bool:
-        if cycle < self._reserved_until:
-            return False
         if cycle != self._accepted_at:
             return True
         return self._accepted_count < self.params.accepts_per_cycle

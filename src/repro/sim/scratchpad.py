@@ -52,6 +52,12 @@ class Scratchpad:
         self._trace_unit = unit
         self._clock = clock
 
+    def _trace_access(self, kind: str, addr: int, size: int) -> None:
+        self.trace.emit(TraceEvent(
+            kind, self._clock() if self._clock else 0, self._trace_unit,
+            "scratchpad", {"addr": addr, "bytes": size},
+        ))
+
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > self.size_bytes:
             raise ScratchpadError(
@@ -64,11 +70,7 @@ class Scratchpad:
         self.stats.reads += 1
         self.stats.bytes_read += size
         if self.trace.enabled:
-            self.trace.emit(TraceEvent(
-                "scratch.read", self._clock() if self._clock else 0,
-                self._trace_unit, "scratchpad",
-                {"addr": addr, "bytes": size},
-            ))
+            self._trace_access("scratch.read", addr, size)
         return bytes(self._data[addr : addr + size])
 
     def write(self, addr: int, data: bytes) -> None:
@@ -76,32 +78,31 @@ class Scratchpad:
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
         if self.trace.enabled:
-            self.trace.emit(TraceEvent(
-                "scratch.write", self._clock() if self._clock else 0,
-                self._trace_unit, "scratchpad",
-                {"addr": addr, "bytes": len(data)},
-            ))
+            self._trace_access("scratch.write", addr, len(data))
         self._data[addr : addr + len(data)] = data
 
     def read_elements(self, addrs, size: int, signed: bool):
         """Batched :meth:`read_extended` over same-size elements.
 
-        Bulk-updates the access counters by exactly what the per-element
-        calls would have added, so :class:`ScratchpadStats` stays
-        bit-identical.  Emits no trace events — callers use this only on
-        untraced fast-path runs (``sim.fast_path_on``).
+        Counts, traces and range-checks each element exactly as one
+        :meth:`read_extended` call would (one ``scratch.read`` event per
+        element), minus the per-read ``bytes`` copy.
         """
+        data = self._data
+        stats = self.stats
+        tracing = self.trace.enabled
+        out = []
         for addr in addrs:
             self._check(addr, size)
-        n = len(addrs)
-        self.stats.reads += n
-        self.stats.bytes_read += n * size
-        data = self._data
-        return [
-            int.from_bytes(data[addr:addr + size], "little", signed=signed)
-            & 0xFFFF_FFFF_FFFF_FFFF
-            for addr in addrs
-        ]
+            stats.reads += 1
+            stats.bytes_read += size
+            if tracing:
+                self._trace_access("scratch.read", addr, size)
+            out.append(
+                int.from_bytes(data[addr:addr + size], "little", signed=signed)
+                & 0xFFFF_FFFF_FFFF_FFFF
+            )
+        return out
 
     def snapshot(self) -> bytes:
         """The full scratchpad image, without touching the access stats

@@ -44,7 +44,6 @@ from ..cgra.fabric import Fabric, dnn_provisioned
 from ..core.isa.commands import (
     Command,
     PortRef,
-    SDBarrierAll,
     SDConfig,
     SDMemScratch,
     SDPortScratch,
@@ -87,13 +86,6 @@ class SoftbrainParams:
     all_requests_in_flight: bool = True
     #: stepped cycles between ``port.sample`` trace events (traced runs only)
     trace_sample_interval: int = 64
-    #: batched fast-path execution (docs/PERFORMANCE.md): burst-issue
-    #: affine streams, cache empty dispatcher scans and specialise the
-    #: compiled DFG.  A pure optimisation — cycles, stats and memory
-    #: images are bit-identical to ``fast_path=False`` (enforced by
-    #: tests/test_golden_stats.py and tests/test_property_fastpath.py).
-    #: Automatically disabled while tracing or fault injection is active.
-    fast_path: bool = True
 
 
 @dataclass
@@ -162,16 +154,8 @@ class SoftbrainSim:
             "rse": RecurrenceEngine(self, self.params.stream_table_size),
         }
         self._engine_list = list(self.engines.values())
-        #: fast path active for this run?  Tracing needs the per-cycle
-        #: event emissions and fault hooks need every slow-path call site,
-        #: so either one forces the reference path.
-        self.fast_path_on = (
-            self.params.fast_path and not self.trace.enabled
-            and faults is None
-        )
         #: bumped whenever anything a dispatcher scan depends on changes
         self.dispatch_version = 0
-        self.memory.register_unit()
         self.dispatcher = Dispatcher(self)
         self.core = ControlCore(self, program.items)
         self.cgra: Optional[CgraExecutor] = None
@@ -255,49 +239,6 @@ class SoftbrainSim:
                 {"address": address, "dfg": image.dfg.name},
             ))
 
-    # -- fast-path predicates (docs/PERFORMANCE.md) ------------------------------
-
-    def dispatch_frozen_for(self, engines) -> bool:
-        """No command targeting ``engines`` can leave the queue soon.
-
-        A burst window is only legal while the set of streams competing
-        for its resources cannot change.  That holds when (a) the core
-        cannot enqueue anything new — it has finished, or an
-        ``SD_Barrier_All`` already in the queue freezes it — and (b) no
-        queued command targets one of ``engines``.
-        """
-        queue = self.dispatcher.queue
-        if not self.core.finished and not any(
-            isinstance(t.command, SDBarrierAll) for t in queue
-        ):
-            return False
-        for trace in queue:
-            if trace.command.engine in engines:
-                return False
-        return True
-
-    def quiet_for_burst(self, engine) -> bool:
-        """True when skipping this cycle is invisible outside ``engine``.
-
-        Used by a bursting engine to decide whether the main loop may
-        fast-forward over the rest of its window: every other component
-        must be provably unable to act *or to count a stall* this cycle.
-        """
-        if not self.core.finished or self.dispatcher.queue:
-            return False
-        for other in self._engine_list:
-            if other is not engine and other.streams:
-                return False
-        cgra = self.cgra
-        if cgra is not None:
-            inputs = cgra.inputs
-            if not inputs:
-                return False  # a sourceless DFG would fire every cycle
-            for _, _width, port in inputs:
-                if port.fifo:
-                    return False  # visible stall counting (or a firing)
-        return True
-
     def quiesced(self) -> bool:
         """All issued work is complete (used by SD_Barrier_All and config)."""
         if any(not engine.idle() for engine in self.engines.values()):
@@ -329,16 +270,14 @@ class SoftbrainSim:
             progress = True
         if self.dispatcher.tick(cycle):
             progress = True
-        if self.fast_path_on:
-            # An engine with an empty stream table cannot progress and has
-            # no per-cycle side effects; skip its tick entirely.
-            for engine in self._engine_list:
-                if engine.streams and engine.tick(cycle):
-                    progress = True
-        else:
-            for engine in self._engine_list:
-                if engine.tick(cycle):
-                    progress = True
+        # An engine with an empty stream table cannot progress; its only
+        # per-cycle side effect is observing a due ``engine.stall`` fault,
+        # so skip its tick unless one is.
+        faults = self.faults
+        stall_due = faults is not None and cycle >= faults.engine_stall_at
+        for engine in self._engine_list:
+            if (engine.streams or stall_due) and engine.tick(cycle):
+                progress = True
         if self.cgra is not None and self.cgra.tick(cycle):
             progress = True
         if self.trace.enabled and cycle >= self._next_port_sample:
@@ -413,10 +352,22 @@ class SoftbrainSim:
                 )
         return self.finalize(cycle)
 
+    def release(self) -> None:
+        """Drop the components, each of which points back at this sim.
+
+        Breaks those reference cycles, so a finished run's program,
+        memory image and stream state are freed as soon as the caller
+        drops them rather than at the next full garbage collection.
+        """
+        self.engines = {}
+        self._engine_list = []
+        self.dispatcher = self.core = self.cgra = None
+        self._events = []
+
     def _fail(self, exc: SimError) -> SimError:
         """Annotate an escaping failure with context and a crash dump.
 
-        Imported lazily so the zero-fault, no-failure fast path never pays
+        Imported lazily so a run that does not fail never pays
         for the diagnostics machinery.
         """
         from ..resilience.report import build_failure_report
@@ -449,4 +400,7 @@ def run_program(
     """
     sim = SoftbrainSim(program, fabric=fabric, memory=memory, params=params,
                        trace=trace, faults=faults)
-    return sim.run()
+    try:
+        return sim.run()
+    finally:
+        sim.release()

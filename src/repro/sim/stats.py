@@ -81,12 +81,6 @@ class SimStats:
     def note_engine_busy(self, engine: str) -> None:
         self.engine_busy[engine] = self.engine_busy.get(engine, 0) + 1
 
-    def note_engine_busy_bulk(self, engine: str, cycles: int) -> None:
-        """Account ``cycles`` busy cycles at once (fast-path bursts: the
-        slow path would have called :meth:`note_engine_busy` once per
-        covered cycle, so the counters stay bit-identical)."""
-        self.engine_busy[engine] = self.engine_busy.get(engine, 0) + cycles
-
     @property
     def ops_per_cycle(self) -> float:
         return self.ops_executed / self.cycles if self.cycles else 0.0

@@ -92,15 +92,6 @@ class StreamEngineBase:
         self.table_size = table_size
         self.streams: List[ActiveStream] = []
         self._rr = 0  # round-robin pointer for fair selection
-        # Fast-path burst window (docs/PERFORMANCE.md): while
-        # ``cycle < _burst_until`` the engine has already pre-issued the
-        # slow path's one-request-per-cycle work for ``_burst`` and is
-        # "virtually busy".  ``_burst_final`` defers the issued_all flip
-        # to the window's last cycle so early port release timing matches
-        # the slow path exactly.
-        self._burst: Optional[ActiveStream] = None
-        self._burst_until = 0
-        self._burst_final = False
 
     def has_free_slot(self) -> bool:
         return len(self.streams) < self.table_size
@@ -224,58 +215,6 @@ class StreamEngineBase:
             if role == "w"
         )
 
-    def _burst_catchup(self, cycle: int) -> None:
-        """Close a burst window whose tail was fast-forwarded over.
-
-        Only reachable after a quiet skip (core finished, dispatcher
-        empty, no other engine active), so flipping ``issued_all`` before
-        this cycle's scan instead of at the window's last cycle is
-        unobservable: no consumer of the released ports can exist.
-        """
-        stream = self._burst
-        if stream is not None and cycle >= self._burst_until:
-            if self._burst_final:
-                stream.issued_all = True
-            self._burst = None
-
-    def _burst_virtual(self, cycle: int, progressed: bool) -> Optional[bool]:
-        """Handle one in-window cycle; None when no window is active.
-
-        Mirrors the slow path's behaviour on this cycle: the engine is
-        busy issuing (already accounted at burst time), and on the
-        window's last cycle the final ``advance_request`` would have
-        exhausted the pattern.  Returns False — allowing the main loop to
-        fast-forward — only when the skip is provably invisible.
-        """
-        stream = self._burst
-        if stream is None:
-            return None
-        if cycle >= self._burst_until - 1:
-            if self._burst_final:
-                stream.issued_all = True
-            self._burst = None
-        if progressed:
-            return True
-        return not self.sim.quiet_for_burst(self)
-
-    def _burst_open(self, stream: ActiveStream, cycle: int, count: int) -> None:
-        """Account and arm a ``count``-cycle burst window starting now."""
-        # advance_request flips issued_all the moment the pattern
-        # exhausts; the slow path would only do that on the window's last
-        # cycle, so defer the flip until then.
-        final = stream.issued_all
-        if final:
-            stream.issued_all = False
-        self.sim.stats.note_engine_busy_bulk(self.name, count)
-        self.sim.memory.reserve_window(cycle + count)
-        self._burst = stream
-        self._burst_until = cycle + count
-        self._burst_final = final
-        if count == 1:  # the window is this very cycle; close it now
-            if final:
-                stream.issued_all = True
-            self._burst = None
-
     def _rotate(self, candidates: List[ActiveStream]) -> List[ActiveStream]:
         """Round-robin rotation for fair stream selection."""
         if not candidates:
@@ -327,7 +266,6 @@ class MemReadEngine(StreamEngineBase):
     def tick(self, cycle: int) -> bool:
         if self._fault_stalled(cycle):
             return False
-        self._burst_catchup(cycle)
         progressed = False
         owners = self._delivery_owners()
         for stream in list(self.streams):
@@ -341,9 +279,6 @@ class MemReadEngine(StreamEngineBase):
             else:
                 self._maybe_early_release(stream)
 
-        virtual = self._burst_virtual(cycle, progressed)
-        if virtual is not None:
-            return virtual
         if not self.sim.memory.can_accept(cycle):
             return progressed
 
@@ -354,87 +289,8 @@ class MemReadEngine(StreamEngineBase):
             ready.sort(key=self._balance_score)
         else:
             ready = self._rotate(ready)
-        if self._try_burst(ready[0], cycle):
-            return True
         self._issue(ready[0], cycle)
         self._note_busy(cycle, ready[0])
-        return True
-
-    def _try_burst(self, stream: ActiveStream, cycle: int) -> bool:
-        """Fast path: pre-issue a whole affine burst in one step.
-
-        Legal only when the slow path would provably issue one request of
-        this stream on every covered cycle and nothing else can observe
-        the difference; see docs/PERFORMANCE.md for the eligibility rules.
-        """
-        sim = self.sim
-        if not sim.fast_path_on or len(self.streams) != 1:
-            return False
-        command = stream.command
-        if not isinstance(command, (SDMemPort, SDMemScratch)):
-            return False
-        memory = sim.memory
-        timing = memory.params
-        if (
-            memory.units_attached > 1  # shared interface: competing units
-            or timing.l2_hit_latency < 1
-            or timing.dram_latency < 1  # zero-latency data could drain early
-            # pending write-stream data would be a read-after-write hazard
-            # against our pre-read of the backing store
-            or sim.engines["mse_write"].streams
-            or not sim.dispatch_frozen_for(("mse_read", "mse_write"))
-        ):
-            return False
-        cap = self.BUFFER_LINES - len(stream.pending)
-        if cap <= 1:
-            return False
-        pending = stream.pending
-        schedule = sim.schedule
-        store = memory.store
-        count = 0
-        if isinstance(command, SDMemPort):
-            port = sim.port_state(command.dest)
-            signed = command.pattern.signed
-            while count < cap:
-                request = stream.next_request
-                if request is None:
-                    break
-                ready_at = memory.issue(
-                    cycle + count, request.line_addr, False, request.bytes_used
-                )
-                words = store.read_elements(
-                    request.element_addrs, request.elem_bytes, signed
-                )
-                pending.append((ready_at, words, port))
-                schedule(ready_at, None)
-                stream.advance_request()
-                count += 1
-        else:
-            scratchpad = sim.scratchpad
-            while count < cap:
-                request = stream.next_request
-                if request is None:
-                    break
-                ready_at = memory.issue(
-                    cycle + count, request.line_addr, False, request.bytes_used
-                )
-                data = b"".join(
-                    store.read(addr, request.elem_bytes)
-                    for addr in request.element_addrs
-                )
-                base = (command.scratch_addr
-                        + stream.elements_done * request.elem_bytes)
-                stream.elements_done += request.num_elements
-                schedule(
-                    ready_at,
-                    lambda base=base, data=data: scratchpad.write(base, data),
-                )
-                pending.append((ready_at, [], None))
-                stream.advance_request()
-                count += 1
-        if count == 0:
-            return False
-        self._burst_open(stream, cycle, count)
         return True
 
     def _can_issue(self, stream: ActiveStream) -> bool:
@@ -460,11 +316,10 @@ class MemReadEngine(StreamEngineBase):
             assert request is not None
             port = self.sim.port_state(command.dest)
             ready = memory.issue(cycle, request.line_addr, False, request.bytes_used)
-            signed = command.pattern.signed
-            words = [
-                memory.store.read_extended(addr, request.elem_bytes, signed)
-                for addr in request.element_addrs
-            ]
+            words = memory.store.read_elements(
+                request.element_addrs, request.elem_bytes,
+                command.pattern.signed,
+            )
             injector = self.sim.faults
             if injector is not None and cycle >= injector.mem_corrupt_at:
                 words = injector.corrupt_read(cycle, words)
@@ -506,10 +361,9 @@ class MemReadEngine(StreamEngineBase):
             ready = memory.issue(
                 cycle, line, False, len(addrs) * command.elem_bytes
             )
-            words = [
-                memory.store.read_extended(addr, command.elem_bytes, command.signed)
-                for addr in addrs
-            ]
+            words = memory.store.read_elements(
+                addrs, command.elem_bytes, command.signed
+            )
             injector = self.sim.faults
             if injector is not None and cycle >= injector.mem_corrupt_at:
                 words = injector.corrupt_read(cycle, words)
@@ -549,7 +403,6 @@ class MemWriteEngine(StreamEngineBase):
     def tick(self, cycle: int) -> bool:
         if self._fault_stalled(cycle):
             return False
-        self._burst_catchup(cycle)
         progressed = False
         for stream in list(self.streams):
             if self._drain_pending(stream, cycle):
@@ -560,9 +413,6 @@ class MemWriteEngine(StreamEngineBase):
             else:
                 self._maybe_early_release(stream)
 
-        virtual = self._burst_virtual(cycle, progressed)
-        if virtual is not None:
-            return virtual
         if not self.sim.memory.can_accept(cycle):
             return progressed
 
@@ -570,88 +420,8 @@ class MemWriteEngine(StreamEngineBase):
         if not ready:
             return progressed
         chosen = self._rotate(ready)[0]
-        if self._try_burst(chosen, cycle):
-            return True
         self._issue(chosen, cycle)
         self._note_busy(cycle, chosen)
-        return True
-
-    #: burst window bound; port capacities are far smaller in practice
-    BURST_LINES = 32
-
-    def _try_burst(self, stream: ActiveStream, cycle: int) -> bool:
-        """Fast path: drain a whole affine store burst in one step.
-
-        Stricter than the read burst: popping source-port words early is
-        only invisible while the CGRA is input-starved (its can_fire
-        checks inputs before output room) and nothing can feed it — so
-        every other engine must be empty and the dispatcher frozen.  See
-        docs/PERFORMANCE.md.
-        """
-        sim = self.sim
-        if not sim.fast_path_on or len(self.streams) != 1:
-            return False
-        command = stream.command
-        if not isinstance(command, SDPortMem):
-            return False
-        memory = sim.memory
-        timing = memory.params
-        if (
-            memory.units_attached > 1
-            or timing.l2_hit_latency < 1
-            or timing.dram_latency < 1
-        ):
-            return False
-        for engine in sim._engine_list:
-            if engine is not self and engine.streams:
-                return False
-        if not sim.dispatch_frozen_for(
-            ("mse_read", "mse_write", "sse", "rse")
-        ):
-            return False
-        cgra = sim.cgra
-        if cgra is not None:
-            if not cgra.inputs:
-                return False
-            if all(
-                port.occupancy >= width for _, width, port in cgra.inputs
-            ):
-                return False  # could fire: output room must stay exact
-        source = sim.port_state(command.source)
-        # Prefix of requests fully covered by words already at the port —
-        # the slow path would certainly issue one per cycle (deliveries
-        # only ever add words behind them).
-        occupancy = source.occupancy
-        requests: List[LineRequest] = []
-        total = 0
-        while len(requests) < self.BURST_LINES:
-            request = stream.next_request
-            if request is None or total + request.num_elements > occupancy:
-                break
-            requests.append(request)
-            total += request.num_elements
-            stream.advance_request()
-        if not requests:
-            return False
-        words_all = source.pop_words(total)
-        store = memory.store
-        position = 0
-        for count, request in enumerate(requests):
-            words = words_all[position:position + request.num_elements]
-            position += request.num_elements
-            ready_at = memory.issue(
-                cycle + count, request.line_addr, True, request.bytes_used
-            )
-            writes = list(zip(request.element_addrs, words))
-            elem_bytes = request.elem_bytes
-
-            def apply(writes=writes, elem_bytes=elem_bytes) -> None:
-                for addr, word in writes:
-                    store.write_word(addr, word, elem_bytes)
-
-            sim.schedule(ready_at, apply)
-            stream.pending.append((ready_at, [], None))
-        self._burst_open(stream, cycle, len(requests))
         return True
 
     def _can_issue(self, stream: ActiveStream) -> bool:
@@ -792,18 +562,9 @@ class ScratchEngine(StreamEngineBase):
         request = stream.next_request
         assert request is not None
         port = self.sim.port_state(command.dest)
-        if self.sim.fast_path_on:  # batched variant: same stats, no trace
-            words = self.sim.scratchpad.read_elements(
-                request.element_addrs, request.elem_bytes,
-                command.pattern.signed,
-            )
-        else:
-            words = [
-                self.sim.scratchpad.read_extended(
-                    addr, request.elem_bytes, command.pattern.signed
-                )
-                for addr in request.element_addrs
-            ]
+        words = self.sim.scratchpad.read_elements(
+            request.element_addrs, request.elem_bytes, command.pattern.signed
+        )
         stream.pending.append((cycle + SCRATCH_READ_LATENCY, words, port))
         self.sim.schedule(cycle + SCRATCH_READ_LATENCY, None)
         stream.advance_request()

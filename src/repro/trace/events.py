@@ -100,10 +100,12 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
         _schema(
             "barrier.wait",
             "Dispatcher",
-            "One cycle during which the barrier at the queue head blocked "
-            "issue because its condition did not yet hold.",
+            "A barrier was released at the queue head; emitted once per "
+            "barrier, just before its command.dispatch.",
             index="timeline index of the barrier command",
             command="barrier label, e.g. 'SD_BarrierAll'",
+            cycles="cycles the barrier blocked issue at the queue head "
+                   "because its condition did not yet hold (0 if none)",
         ),
         _schema(
             "stream.issue",

