@@ -48,7 +48,6 @@ from ..core.isa.commands import (
     SDMemScratch,
     SDPortScratch,
     SDScratchPort,
-    port_uses,
 )
 from ..core.isa.program import StreamProgram
 from ..trace import NULL_SINK, TraceEvent, TraceSink
@@ -214,8 +213,8 @@ class SoftbrainSim:
         elif isinstance(command, (SDPortScratch, SDMemScratch)):
             self.outstanding["scratch_wr"] -= 1
         if not stream.early_released:
-            for port, role in port_uses(command):
-                self.dispatcher.release_port(port.kind, port.port_id, role)
+            for key in stream.ports:
+                self.dispatcher.release_port(*key)
 
     def apply_config(self, address: int) -> None:
         image = self.program.config_images.get(address)
@@ -248,13 +247,6 @@ class SoftbrainSim:
         return not self._events
 
     # -- main loop ------------------------------------------------------------------
-
-    def _finished(self) -> bool:
-        return (
-            self.core.finished
-            and self.dispatcher.drained
-            and self.quiesced()
-        )
 
     def step(self, cycle: int) -> bool:
         """Advance all components one cycle; True if anything progressed."""
@@ -310,7 +302,11 @@ class SoftbrainSim:
                 ))
 
     def finished(self) -> bool:
-        return self._finished()
+        return (
+            self.core.finished
+            and self.dispatcher.drained
+            and self.quiesced()
+        )
 
     def next_event_cycle(self) -> Optional[int]:
         return self._events[0][0] if self._events else None
@@ -332,7 +328,7 @@ class SoftbrainSim:
         cycle = 0
         while True:
             progress = self.step(cycle)
-            if self._finished():
+            if self.finished():
                 break
             if not progress:
                 next_event = self.next_event_cycle()

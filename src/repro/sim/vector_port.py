@@ -23,7 +23,9 @@ class VectorPortState:
 
     Words enter via :meth:`push` (after :meth:`reserve`), leave via
     :meth:`pop_words`.  ``in_flight`` counts reserved-but-unarrived words so
-    producers never overrun the FIFO.
+    producers never overrun the FIFO.  ``writers`` holds the active
+    streams writing this port in program order (appended when a stream is
+    accepted, removed when it retires); only the first may deliver.
     """
 
     def __init__(self, spec: HwVectorPort) -> None:
@@ -32,6 +34,7 @@ class VectorPortState:
         self.reserved = 0
         self.total_pushed = 0
         self.total_popped = 0
+        self.writers: Deque = deque()
 
     @property
     def capacity_words(self) -> int:
@@ -68,9 +71,6 @@ class VectorPortState:
             )
         self.fifo.extend(words)
         self.total_pushed += len(words)
-
-    def can_pop(self, nwords: int) -> bool:
-        return len(self.fifo) >= nwords
 
     def pop_words(self, nwords: int) -> List[int]:
         fifo = self.fifo
