@@ -56,10 +56,6 @@ class ScheduleResult:
     ops: int
     resource_busy: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def avg_parallelism(self) -> float:
-        return self.ops / self.cycles if self.cycles else 0.0
-
 
 def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
     """List-schedule the DDG; returns total cycles and busy counters."""

@@ -61,10 +61,6 @@ class CgraConfig:
     def total_hops(self) -> int:
         return sum(edge.hops for edge in self.edges.values())
 
-    @property
-    def total_extra_delay(self) -> int:
-        return sum(edge.extra_delay for edge in self.edges.values())
-
     def hw_input_port(self, dfg_port: str) -> int:
         if dfg_port not in self.dfg.inputs:
             raise KeyError(f"{dfg_port!r} is not an input port of {self.dfg.name}")

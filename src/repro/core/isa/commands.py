@@ -61,11 +61,6 @@ class Command:
         raise NotImplementedError
 
     @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        """Vector ports this command owns while in flight."""
-        return ()
-
-    @property
     def instruction_count(self) -> int:
         """Control-core instructions to encode/issue this command (1-3)."""
         return 2
@@ -106,10 +101,6 @@ class SDMemPort(Command):
     def engine(self) -> str:
         return "mse_read"
 
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.dest,)
-
 
 @dataclass(frozen=True)
 class SDMemScratch(Command):
@@ -144,10 +135,6 @@ class SDScratchPort(Command):
     def engine(self) -> str:
         return "sse"
 
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.dest,)
-
 
 # -- constants and recurrences --------------------------------------------------
 
@@ -168,10 +155,6 @@ class SDConstPort(Command):
     @property
     def engine(self) -> str:
         return "rse"
-
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.dest,)
 
     @property
     def instruction_count(self) -> int:
@@ -196,10 +179,6 @@ class SDCleanPort(Command):
         return "rse"
 
     @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.source,)
-
-    @property
     def instruction_count(self) -> int:
         return 1
 
@@ -222,10 +201,6 @@ class SDPortPort(Command):
     def engine(self) -> str:
         return "rse"
 
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.source, self.dest)
-
 
 # -- writes ---------------------------------------------------------------------
 
@@ -246,10 +221,6 @@ class SDPortScratch(Command):
     def engine(self) -> str:
         return "sse"
 
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.source,)
-
 
 @dataclass(frozen=True)
 class SDPortMem(Command):
@@ -265,10 +236,6 @@ class SDPortMem(Command):
     @property
     def engine(self) -> str:
         return "mse_write"
-
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.source,)
 
     @property
     def instruction_count(self) -> int:
@@ -306,10 +273,6 @@ class SDIndPortPort(Command):
         return "mse_read"
 
     @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.index_port, self.dest)
-
-    @property
     def instruction_count(self) -> int:
         return 3
 
@@ -340,10 +303,6 @@ class SDIndPortMem(Command):
     @property
     def engine(self) -> str:
         return "mse_write"
-
-    @property
-    def uses_ports(self) -> Tuple[PortRef, ...]:
-        return (self.index_port, self.source)
 
     @property
     def instruction_count(self) -> int:

@@ -187,10 +187,6 @@ class FaultInjector:
         self.sim = sim
 
     @property
-    def all_fired(self) -> bool:
-        return all(not specs for specs in self._pending.values())
-
-    @property
     def unfired(self) -> List[FaultSpec]:
         return [s for specs in self._pending.values() for s in specs]
 
