@@ -242,18 +242,10 @@ def validate_plan(plan: CasePlan) -> None:
     for port, segments in sorted(plan.feeds.items()):
         width = dfg.inputs[port].width
         total = 0
-        seen_memory_engine = False
         for index, seg in enumerate(segments):
             if seg.num_elements <= 0:
                 raise PlanError(f"{port}[{index}]: empty segment")
             total += seg.num_elements
-            if seg.kind in ("mem", "indirect"):
-                seen_memory_engine = True
-            elif seen_memory_engine:
-                raise PlanError(
-                    f"{port}[{index}]: {seg.kind} segment after a memory-"
-                    "engine segment (in-flight data could be overtaken)"
-                )
             if seg.kind == "recur":
                 if port != plan.recur_in or seg.src != plan.recur_out:
                     raise PlanError(f"{port}[{index}]: stray recurrence")
@@ -311,9 +303,6 @@ def validate_plan(plan: CasePlan) -> None:
         seed = width * plan.num_instances - feed.count
         if seed < width:
             raise PlanError("recurrence needs at least one seeded instance")
-        if any(s.kind in ("mem", "indirect")
-               for s in plan.feeds[plan.recur_in][:-1]):
-            raise PlanError("recurrence seeds must avoid the memory engines")
     if scratch_bytes > SCRATCH_CAPACITY:
         raise PlanError(f"plan needs {scratch_bytes} B scratch, have "
                         f"{SCRATCH_CAPACITY}")

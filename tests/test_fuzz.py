@@ -61,18 +61,6 @@ class TestGenerator:
         bad.feeds["A"][0].count = 2
         with pytest.raises(PlanError):
             validate_plan(bad)
-        # const after a memory-engine segment on the same port (in-flight
-        # data could be overtaken by the recurrence engine).
-        bad = plan_from_json(plan_to_json(plan))
-        bad.num_instances = 2
-        bad.feeds["A"] = [
-            FeedSegment(kind="mem", per_access=1, num_strides=1,
-                        stride_elems=0, array=[5]),
-            FeedSegment(kind="const", count=1, value=1),
-        ]
-        bad.drains["Z"] = [DrainSegment(kind="clean", count=2)]
-        with pytest.raises(PlanError):
-            validate_plan(bad)
         # Overlapping write pattern (write completion order is timing-
         # dependent).
         bad = plan_from_json(plan_to_json(plan))
