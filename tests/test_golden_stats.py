@@ -34,6 +34,14 @@ def fingerprint(result):
     }
 
 
+def dump_golden(data):
+    """Golden JSON text: sorted keys, one timeline row per line."""
+    rest = {key: value for key, value in data.items() if key != "timeline"}
+    head = json.dumps(rest, indent=1, sort_keys=True)
+    rows = ",\n".join(f"  {json.dumps(row)}" for row in data["timeline"])
+    return f'{head[:-2]},\n "timeline": [\n{rows}\n ]\n}}\n'
+
+
 def _machsuite_case(name):
     build = MACHSUITE[name][0]
     return lambda: build()
@@ -56,7 +64,7 @@ def test_golden_stats(name, make, update_golden):
     path = GOLDEN_DIR / f"{name}.json"
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        path.write_text(dump_golden(got))
         return
     assert path.exists(), (
         f"no golden file for {name}; run pytest with --update-golden")
