@@ -153,6 +153,27 @@ class TestFailureReports:
         text = " ".join(info.value.report.chains)
         assert "no stream writes this port" in text
 
+    def test_chain_names_the_earlier_writer_of_the_dest_port(self):
+        # The memory stream overfills port A (B is never fed, so the
+        # fabric never drains A); the constant behind it on A waits for
+        # that earlier writer, not for room in A.  No final barrier, so
+        # nothing waits on the constant and its chain is a root.
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0, list(range(32)))
+        config = adder_config(fabric)
+        program = StreamProgram("writer-order", config)
+        program.mem_port(0, 256, 256, 1, "A")
+        program.const_port(1, 4, "A")
+        program.port_mem("O", 16, 16, 1, 0x1000)
+        with pytest.raises(SimulationDeadlock) as info:
+            run_program(program, fabric=fabric, memory=memory)
+        chains = info.value.report.chains
+        const_chain = next(c for c in chains if c.startswith("SD_ConstPort"))
+        port = f"in{config.hw_input_port('A')}"
+        assert f"waits for earlier writer #1 of port {port}" in const_chain
+        assert "SD_MemPort #1" in const_chain
+
     def test_report_is_deterministic(self):
         dumps = []
         for _ in range(2):
