@@ -13,7 +13,7 @@ indirect ports (``ind`` — address buffers not connected to the CGRA).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 from .patterns import Affine2D, WORD_BYTES
 
@@ -51,19 +51,22 @@ def ind_port(port_id: int) -> PortRef:
 class Command:
     """Base class: every stream-dataflow command.
 
-    ``engine`` names the unit that executes the command: ``mse_read``,
-    ``mse_write``, ``sse`` (scratchpad), ``rse`` (recurrence/const) or
-    ``dispatch`` (config/barriers, handled by the dispatcher itself).
+    Each class states its decode facts as class attributes:
+
+    * ``engine`` names the unit that executes the command: ``mse_read``,
+      ``mse_write``, ``sse`` (scratchpad), ``rse`` (recurrence/const) or
+      ``dispatch`` (barriers, handled by the dispatcher itself);
+    * ``instruction_count`` counts the control-core instructions that encode
+      and issue the command (1-3);
+    * ``scratch_counter`` names the outstanding-scratchpad counter
+      (``scratch_rd`` / ``scratch_wr``) the command holds while it runs;
+      on a scratch barrier it names the counter the barrier waits to
+      drain; ``""`` elsewhere.
     """
 
-    @property
-    def engine(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def instruction_count(self) -> int:
-        """Control-core instructions to encode/issue this command (1-3)."""
-        return 2
+    engine: ClassVar[str]
+    instruction_count: ClassVar[int] = 2
+    scratch_counter: ClassVar[str] = ""
 
 
 # -- configuration ------------------------------------------------------------
@@ -72,16 +75,11 @@ class Command:
 class SDConfig(Command):
     """``SD_Config``: load a CGRA configuration image from memory."""
 
+    engine = "mse_read"
+    instruction_count = 1
+
     address: int
     size: int
-
-    @property
-    def engine(self) -> str:
-        return "mse_read"
-
-    @property
-    def instruction_count(self) -> int:
-        return 1
 
 
 # -- memory / scratchpad reads -------------------------------------------------
@@ -90,6 +88,8 @@ class SDConfig(Command):
 class SDMemPort(Command):
     """``SD_Mem_Port``: read memory with an affine pattern into a port."""
 
+    engine = "mse_read"
+
     pattern: Affine2D
     dest: PortRef
 
@@ -97,30 +97,25 @@ class SDMemPort(Command):
         if self.dest.kind not in ("in", "ind"):
             raise ValueError("SD_Mem_Port destination must be an input/indirect port")
 
-    @property
-    def engine(self) -> str:
-        return "mse_read"
-
 
 @dataclass(frozen=True)
 class SDMemScratch(Command):
     """``SD_Mem_Scratch``: read memory with a pattern into the scratchpad."""
 
+    engine = "mse_read"
+    instruction_count = 3
+    scratch_counter = "scratch_wr"
+
     pattern: Affine2D
     scratch_addr: int
-
-    @property
-    def engine(self) -> str:
-        return "mse_read"
-
-    @property
-    def instruction_count(self) -> int:
-        return 3
 
 
 @dataclass(frozen=True)
 class SDScratchPort(Command):
     """``SD_Scratch_Port``: read scratchpad with a pattern into a port."""
+
+    engine = "sse"
+    scratch_counter = "scratch_rd"
 
     pattern: Affine2D
     dest: PortRef
@@ -131,16 +126,15 @@ class SDScratchPort(Command):
                 "SD_Scratch_Port destination must be an input/indirect port"
             )
 
-    @property
-    def engine(self) -> str:
-        return "sse"
-
 
 # -- constants and recurrences --------------------------------------------------
 
 @dataclass(frozen=True)
 class SDConstPort(Command):
     """``SD_Const_Port``: send a constant word N times to an input port."""
+
+    engine = "rse"
+    instruction_count = 1
 
     value: int
     num_elements: int
@@ -152,18 +146,13 @@ class SDConstPort(Command):
         if self.num_elements <= 0:
             raise ValueError("num_elements must be positive")
 
-    @property
-    def engine(self) -> str:
-        return "rse"
-
-    @property
-    def instruction_count(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class SDCleanPort(Command):
     """``SD_Clean_Port``: discard N words from an output port."""
+
+    engine = "rse"
+    instruction_count = 1
 
     num_elements: int
     source: PortRef
@@ -174,18 +163,12 @@ class SDCleanPort(Command):
         if self.num_elements <= 0:
             raise ValueError("num_elements must be positive")
 
-    @property
-    def engine(self) -> str:
-        return "rse"
-
-    @property
-    def instruction_count(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class SDPortPort(Command):
     """``SD_Port_Port``: recurrence stream, output port -> input port."""
+
+    engine = "rse"
 
     source: PortRef
     num_elements: int
@@ -197,16 +180,15 @@ class SDPortPort(Command):
         if self.num_elements <= 0:
             raise ValueError("num_elements must be positive")
 
-    @property
-    def engine(self) -> str:
-        return "rse"
-
 
 # -- writes ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SDPortScratch(Command):
     """``SD_Port_Scratch``: write words from an output port to scratchpad."""
+
+    engine = "sse"
+    scratch_counter = "scratch_wr"
 
     source: PortRef
     num_elements: int
@@ -217,14 +199,13 @@ class SDPortScratch(Command):
         if self.source.kind != "out":
             raise ValueError("SD_Port_Scratch source must be an output port")
 
-    @property
-    def engine(self) -> str:
-        return "sse"
-
 
 @dataclass(frozen=True)
 class SDPortMem(Command):
     """``SD_Port_Mem``: write from an output port to memory with a pattern."""
+
+    engine = "mse_write"
+    instruction_count = 3
 
     source: PortRef
     pattern: Affine2D
@@ -232,14 +213,6 @@ class SDPortMem(Command):
     def __post_init__(self) -> None:
         if self.source.kind != "out":
             raise ValueError("SD_Port_Mem source must be an output port")
-
-    @property
-    def engine(self) -> str:
-        return "mse_write"
-
-    @property
-    def instruction_count(self) -> int:
-        return 3
 
 
 # -- indirect access --------------------------------------------------------------
@@ -251,6 +224,9 @@ class SDIndPortPort(Command):
     Addresses (or offsets from ``offset_addr``) stream out of an indirect
     port; loaded values go to ``dest``.
     """
+
+    engine = "mse_read"
+    instruction_count = 3
 
     index_port: PortRef
     offset_addr: int
@@ -268,14 +244,6 @@ class SDIndPortPort(Command):
         if self.num_elements <= 0:
             raise ValueError("num_elements must be positive")
 
-    @property
-    def engine(self) -> str:
-        return "mse_read"
-
-    @property
-    def instruction_count(self) -> int:
-        return 3
-
 
 @dataclass(frozen=True)
 class SDIndPortMem(Command):
@@ -284,6 +252,9 @@ class SDIndPortMem(Command):
     Addresses stream from the indirect port; data words stream from
     ``source`` (an output port) and are scattered to memory.
     """
+
+    engine = "mse_write"
+    instruction_count = 3
 
     index_port: PortRef
     source: PortRef
@@ -300,14 +271,6 @@ class SDIndPortMem(Command):
         if self.num_elements <= 0:
             raise ValueError("num_elements must be positive")
 
-    @property
-    def engine(self) -> str:
-        return "mse_write"
-
-    @property
-    def instruction_count(self) -> int:
-        return 3
-
 
 # -- barriers ---------------------------------------------------------------------
 
@@ -315,39 +278,26 @@ class SDIndPortMem(Command):
 class SDBarrierScratchRd(Command):
     """``SD_Barrier_Scratch_Rd``: later commands wait for scratch reads."""
 
-    @property
-    def engine(self) -> str:
-        return "dispatch"
-
-    @property
-    def instruction_count(self) -> int:
-        return 1
+    engine = "dispatch"
+    instruction_count = 1
+    scratch_counter = "scratch_rd"
 
 
 @dataclass(frozen=True)
 class SDBarrierScratchWr(Command):
     """``SD_Barrier_Scratch_Wr``: later commands wait for scratch writes."""
 
-    @property
-    def engine(self) -> str:
-        return "dispatch"
-
-    @property
-    def instruction_count(self) -> int:
-        return 1
+    engine = "dispatch"
+    instruction_count = 1
+    scratch_counter = "scratch_wr"
 
 
 @dataclass(frozen=True)
 class SDBarrierAll(Command):
     """``SD_Barrier_All``: wait for every outstanding command; syncs core."""
 
-    @property
-    def engine(self) -> str:
-        return "dispatch"
-
-    @property
-    def instruction_count(self) -> int:
-        return 1
+    engine = "dispatch"
+    instruction_count = 1
 
 
 BARRIER_TYPES = (SDBarrierScratchRd, SDBarrierScratchWr, SDBarrierAll)

@@ -296,7 +296,9 @@ class FaultInjector:
     def mangle_command(self, index: int, item: ProgramItem) -> ProgramItem:
         """Flip one bit of the encoded command word at program index
         ``at`` (``cmd.illegal``); raises :class:`IllegalCommandError` when
-        the result no longer decodes to a command the unit can execute."""
+        the result no longer decodes to a command.  A decoded command that
+        names hardware the unit lacks is rejected by the dispatcher's
+        decode stage at enqueue, as in any other run."""
         specs = self._pending["cmd.illegal"]
         if not specs or specs[-1].at > index or not isinstance(item, Command):
             return item
@@ -322,26 +324,4 @@ class FaultInjector:
             raise IllegalCommandError(
                 f"illegal command word at program index {index}: decodes "
                 f"to non-command {type(decoded).__name__}")
-        self._validate_decoded(index, decoded)
         return decoded
-
-    def _validate_decoded(self, index: int, command: Command) -> None:
-        """The dispatcher's decode stage: reject commands that reference
-        hardware this unit does not have."""
-        sim = self.sim
-        if sim is None:
-            return
-        from ..core.isa.commands import port_uses
-
-        pools = {"in": sim.input_ports, "out": sim.output_ports,
-                 "ind": sim.indirect_ports}
-        for port, _role in port_uses(command):
-            if port.port_id not in pools[port.kind]:
-                raise IllegalCommandError(
-                    f"illegal command at program index {index}: "
-                    f"{type(command).__name__} references nonexistent "
-                    f"port {port}")
-        if command.engine not in sim.engines and command.engine != "dispatch":
-            raise IllegalCommandError(
-                f"illegal command at program index {index}: unknown "
-                f"engine {command.engine!r}")

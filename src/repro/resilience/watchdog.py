@@ -22,18 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.isa.commands import (
-    PortRef,
-    SDBarrierAll,
-    SDBarrierScratchRd,
-    SDBarrierScratchWr,
-    SDConfig,
-    SDMemScratch,
-    SDPortScratch,
-    SDScratchPort,
-    is_barrier,
-    port_uses,
-)
+from ..core.isa.commands import PortRef, SDBarrierAll, SDConfig, is_barrier
 
 #: cap on rendered root-cause chains (the graph itself is complete)
 MAX_CHAINS = 10
@@ -129,7 +118,7 @@ def _stream_holders(sim, kind: str, port_id: int,
     holders = []
     for engine in sim.engines.values():
         for stream in engine.streams:
-            for use_kind, use_id, use_role in stream.ports:
+            for use_kind, use_id, use_role in stream.trace.ports:
                 if (use_kind, use_id) == (kind, port_id) and (
                     role is None or use_role == role
                 ):
@@ -174,13 +163,13 @@ def build_wait_graph(sim, cycle: Optional[int] = None) -> WaitGraph:
     if not sim.core.finished and not sim.dispatcher.can_enqueue():
         graph.add_node("core", "control core",
                        f"stalled at pc {sim.core.pc}")
-        if sim.dispatcher.queue:
-            head = sim.dispatcher.queue[0]
+        queue = sim.dispatcher.queue
+        if queue:
+            # Nothing enqueues behind a queued SD_Barrier_All: it is the tail.
             reason = ("SD_Barrier_All in queue"
-                      if any(isinstance(t.command, SDBarrierAll)
-                             for t in sim.dispatcher.queue)
+                      if isinstance(queue[-1].command, SDBarrierAll)
                       else "dispatcher queue full")
-            graph.add_edge("core", _cmd_node(graph, head), reason)
+            graph.add_edge("core", _cmd_node(graph, queue[0]), reason)
 
     # -- queued commands -----------------------------------------------------
     barrier_ahead = None
@@ -209,15 +198,14 @@ def build_wait_graph(sim, cycle: Optional[int] = None) -> WaitGraph:
                 graph.add_edge(eng_node, _stream_node(graph, stream),
                                "table entry held")
             continue
-        for port, role in port_uses(command):
-            if sim.dispatcher.busy_ports.get((port.kind, port.port_id, role)):
-                for holder in _stream_holders(sim, port.kind, port.port_id,
-                                              role):
+        for kind, pid, role in trace.ports:
+            if sim.dispatcher.busy_ports.get((kind, pid, role)):
+                for holder in _stream_holders(sim, kind, pid, role):
                     if holder.command is command:
                         continue
                     graph.add_edge(
                         node, _stream_node(graph, holder),
-                        f"port {port} ({role}) held by earlier stream")
+                        f"port {kind}{pid} ({role}) held by earlier stream")
 
     # -- active streams ------------------------------------------------------
     for engine in sim.engines.values():
@@ -303,17 +291,15 @@ def build_wait_graph(sim, cycle: Optional[int] = None) -> WaitGraph:
 
 def _explain_barrier(graph: WaitGraph, sim, node: str, command) -> None:
     """Why a barrier at the queue head has not released."""
-    if isinstance(command, SDBarrierScratchRd):
-        kinds, label = (SDScratchPort,), "outstanding scratch read"
-    elif isinstance(command, SDBarrierScratchWr):
-        kinds, label = (SDPortScratch, SDMemScratch), "outstanding scratch write"
-    else:
-        assert isinstance(command, SDBarrierAll)
+    counter = command.scratch_counter
+    if not counter:  # SD_Barrier_All
         _edges_to_active_work(graph, sim, node, "barrier waits for")
         return
+    label = ("outstanding scratch read" if counter == "scratch_rd"
+             else "outstanding scratch write")
     for engine in sim.engines.values():
         for stream in engine.streams:
-            if isinstance(stream.command, kinds):
+            if stream.command.scratch_counter == counter:
                 graph.add_edge(node, _stream_node(graph, stream), label)
 
 
@@ -344,11 +330,7 @@ def _explain_empty_port(graph: WaitGraph, sim, node: str, kind: str,
     for writer in writers:
         graph.add_edge(node, _stream_node(graph, writer),
                        "producer stream has not delivered")
-    queued = [
-        t for t in sim.dispatcher.queue
-        if any((p.kind, p.port_id, r) == (kind, pid, "w")
-               for p, r in port_uses(t.command))
-    ]
+    queued = [t for t in sim.dispatcher.queue if (kind, pid, "w") in t.ports]
     for trace in queued:
         graph.add_edge(node, _cmd_node(graph, trace),
                        "producer command still queued")
@@ -369,11 +351,7 @@ def _explain_full_port(graph: WaitGraph, sim, node: str, kind: str,
     for reader in readers:
         graph.add_edge(node, _stream_node(graph, reader),
                        "consumer stream has not drained")
-    queued = [
-        t for t in sim.dispatcher.queue
-        if any((p.kind, p.port_id, r) == (kind, pid, "r")
-               for p, r in port_uses(t.command))
-    ]
+    queued = [t for t in sim.dispatcher.queue if (kind, pid, "r") in t.ports]
     for trace in queued:
         graph.add_edge(node, _cmd_node(graph, trace),
                        "consumer command still queued")

@@ -60,8 +60,9 @@ class ControlCore:
             # cmd.illegal faults mangle the encoded command word here, at
             # the core/dispatcher boundary (may raise IllegalCommandError)
             item = injector.mangle_command(self.pc, item)
-        self.instructions_executed += 1
+        # decode at enqueue may reject it (IllegalCommandError) uncounted
         self.sim.dispatcher.enqueue(item, cycle)
+        self.instructions_executed += 1
         self.pc += 1
         self._cycles_into_item = 0
         return True

@@ -11,7 +11,12 @@ engines.  It issues at most one command per cycle, in program order, once:
 Barriers block the head of the queue until their condition holds; other
 already-issued streams keep running, which is how forward progress is
 guaranteed.  ``SD_Barrier_All`` additionally stalls the control core while
-it is anywhere in the queue.
+it is in the queue.
+
+:meth:`Dispatcher.enqueue` is the decode stage: it rejects a command that
+names a port or engine this unit lacks, and resolves the command's
+``(kind, port_id, role)`` scoreboard keys once, onto ``CommandTrace.ports``,
+for the scan, the stream engines and the watchdog to read.
 """
 
 from __future__ import annotations
@@ -22,13 +27,12 @@ from typing import Deque, Dict, Optional, Set, Tuple
 from ..core.isa.commands import (
     Command,
     SDBarrierAll,
-    SDBarrierScratchRd,
-    SDBarrierScratchWr,
     SDConfig,
     is_barrier,
     port_uses,
 )
 from ..trace import TraceEvent
+from .errors import IllegalCommandError
 from .stats import CommandTrace
 
 #: command-queue capacity between core and dispatcher
@@ -63,20 +67,23 @@ class Dispatcher:
     # -- core-facing interface ---------------------------------------------------
 
     def can_enqueue(self) -> bool:
-        if len(self.queue) >= COMMAND_QUEUE_DEPTH:
+        queue = self.queue
+        if len(queue) >= COMMAND_QUEUE_DEPTH:
             return False
-        return not any(
-            isinstance(t.command, SDBarrierAll) for t in self.queue
-        )
+        # Nothing enqueues behind a queued SD_Barrier_All, so it is the tail.
+        return not queue or not isinstance(queue[-1].command, SDBarrierAll)
 
     def enqueue(self, command: Command, cycle: int) -> Optional[CommandTrace]:
         """Enqueue ``command``; returns ``None`` when the queue is not
         ready this cycle (full, or an ``SD_Barrier_All`` is queued) — the
         core must hold the command and retry, exactly as the hardware
-        stalls the issue stage."""
+        stalls the issue stage.  A command naming a port or engine this
+        unit lacks raises :class:`IllegalCommandError` before it gets a
+        timeline row."""
         if not self.can_enqueue():
             return None
-        trace = self.sim.timeline.note_enqueue(command, cycle)
+        trace = self.sim.timeline.note_enqueue(
+            command, cycle, self._decode(command))
         self.queue.append(trace)
         self.sim.dispatch_version += 1
         sink = self.sim.trace
@@ -87,6 +94,27 @@ class Dispatcher:
                  "queue_depth": len(self.queue)},
             ))
         return trace
+
+    def _decode(self, command: Command) -> Tuple[Tuple[str, int, str], ...]:
+        """The command's scoreboard keys; raises
+        :class:`IllegalCommandError` if it names hardware this unit lacks."""
+        sim = self.sim
+        keys = tuple(
+            (port.kind, port.port_id, role) for port, role in port_uses(command)
+        )
+        pools = {"in": sim.input_ports, "out": sim.output_ports,
+                 "ind": sim.indirect_ports}
+        for kind, port_id, _role in keys:
+            if port_id not in pools[kind]:
+                raise IllegalCommandError(
+                    f"illegal command at program index {sim.core.pc}: "
+                    f"{type(command).__name__} references nonexistent "
+                    f"port {kind}{port_id}")
+        if command.engine != "dispatch" and command.engine not in sim.engines:
+            raise IllegalCommandError(
+                f"illegal command at program index {sim.core.pc}: unknown "
+                f"engine {command.engine!r}")
+        return keys
 
     @property
     def drained(self) -> bool:
@@ -134,19 +162,17 @@ class Dispatcher:
                     self._barrier_blocked = (trace.index, cycle)
                 return self._blocked()  # nothing may pass a pending barrier
 
-            if isinstance(command, SDConfig) and not self._resources_free(command):
+            if isinstance(command, SDConfig) and not self._resources_free(trace):
                 return self._blocked()  # nothing passes a reconfiguration
 
-            ports = {
-                (p.kind, p.port_id, role) for p, role in port_uses(command)
-            }
-            if ports & blocked:
-                blocked |= ports  # later same-port streams must also wait
+            ports = trace.ports
+            if not blocked.isdisjoint(ports):
+                blocked.update(ports)  # later same-port streams must also wait
                 continue
-            if not self._resources_free(command):
-                blocked |= ports
+            if not self._resources_free(trace):
+                blocked.update(ports)
                 continue
-            blocked |= ports  # even if issued, later same-port cmds wait
+            blocked.update(ports)  # even if issued, later same-port cmds wait
 
             del self.queue[position]
             trace.dispatched = cycle
@@ -195,12 +221,13 @@ class Dispatcher:
             dict(common, latency=0),
         ))
 
-    def _resources_free(self, command: Command) -> bool:
+    def _resources_free(self, trace: CommandTrace) -> bool:
+        command = trace.command
         engine = self.sim.engines[command.engine]
         if not engine.has_free_slot():
             return False
-        for port, role in port_uses(command):
-            if self.busy_ports.get((port.kind, port.port_id, role), 0):
+        for key in trace.ports:
+            if self.busy_ports.get(key, 0):
                 return False
         if isinstance(command, SDConfig):
             # Reconfiguration must wait until the whole unit quiesces: the
@@ -210,12 +237,9 @@ class Dispatcher:
         return True
 
     def _barrier_met(self, command: Command) -> bool:
-        if isinstance(command, SDBarrierScratchRd):
-            return self.sim.outstanding["scratch_rd"] == 0
-        if isinstance(command, SDBarrierScratchWr):
-            return self.sim.outstanding["scratch_wr"] == 0
-        assert isinstance(command, SDBarrierAll)
-        self._used_quiesce = True
+        if command.scratch_counter:
+            return self.sim.outstanding[command.scratch_counter] == 0
+        self._used_quiesce = True  # SD_Barrier_All
         return self.sim.quiesced()
 
     # -- completion callbacks ---------------------------------------------------------

@@ -41,14 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..cgra.fabric import Fabric, dnn_provisioned
-from ..core.isa.commands import (
-    Command,
-    PortRef,
-    SDConfig,
-    SDMemScratch,
-    SDPortScratch,
-    SDScratchPort,
-)
+from ..core.isa.commands import Command, PortRef, SDConfig
 from ..core.isa.program import StreamProgram
 from ..trace import NULL_SINK, TraceEvent, TraceSink
 from .cgra_exec import CgraExecutor
@@ -188,10 +181,8 @@ class SoftbrainSim:
     def issue_to_engine(self, command: Command, trace) -> None:
         if isinstance(command, SDConfig):
             self.config_pending = True
-        if isinstance(command, SDScratchPort):
-            self.outstanding["scratch_rd"] += 1
-        elif isinstance(command, (SDPortScratch, SDMemScratch)):
-            self.outstanding["scratch_wr"] += 1
+        if command.scratch_counter:
+            self.outstanding[command.scratch_counter] += 1
         self.engines[command.engine].accept(command, trace)
 
     def stream_completed(self, stream: ActiveStream, cycle: int) -> None:
@@ -208,12 +199,10 @@ class SoftbrainSim:
                     "latency": cycle - (stream.trace.dispatched or cycle),
                 },
             ))
-        if isinstance(command, SDScratchPort):
-            self.outstanding["scratch_rd"] -= 1
-        elif isinstance(command, (SDPortScratch, SDMemScratch)):
-            self.outstanding["scratch_wr"] -= 1
+        if command.scratch_counter:
+            self.outstanding[command.scratch_counter] -= 1
         if not stream.early_released:
-            for key in stream.ports:
+            for key in stream.trace.ports:
                 self.dispatcher.release_port(*key)
 
     def apply_config(self, address: int) -> None:

@@ -23,7 +23,7 @@ enforced by :meth:`repro.trace.MetricsRegistry.reconcile`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.isa.commands import Command
 
@@ -36,6 +36,8 @@ class CommandTrace:
     ``index`` field of the :class:`repro.trace.TraceEvent` lifetime events
     (``command.enqueue`` / ``command.dispatch`` / ``command.complete``)
     carries, so ASCII timelines and exported traces can be joined on it.
+    ``ports`` holds the command's ``(kind, port_id, role)`` scoreboard
+    keys, resolved once when the dispatcher decodes it at enqueue.
     """
 
     index: int
@@ -43,6 +45,7 @@ class CommandTrace:
     enqueued: int
     dispatched: Optional[int] = None
     completed: Optional[int] = None
+    ports: Tuple[Tuple[str, int, str], ...] = ()
 
     @property
     def label(self) -> str:
@@ -146,8 +149,10 @@ class Timeline:
     def __init__(self) -> None:
         self.traces: List[CommandTrace] = []
 
-    def note_enqueue(self, command: Command, cycle: int) -> CommandTrace:
-        trace = CommandTrace(len(self.traces), command, cycle)
+    def note_enqueue(self, command: Command, cycle: int,
+                     ports: Tuple[Tuple[str, int, str], ...] = ()
+                     ) -> CommandTrace:
+        trace = CommandTrace(len(self.traces), command, cycle, ports=ports)
         self.traces.append(trace)
         return trace
 

@@ -21,10 +21,10 @@ skeleton, :meth:`StreamEngineBase.tick`, every cycle:
 Subclasses supply ``_can_issue`` and ``_issue``, and ``_choose`` where
 selection differs (the balance unit); :class:`ScratchEngine` keeps its own
 two-slot issue step.  :meth:`StreamEngineBase.accept` resolves a stream's
-static facts once — its ``(kind, port_id, role)`` dispatcher keys and the
-:class:`VectorPortState` of its ``dest``, ``source`` and ``index`` ports —
-and starts its pattern iterator or element count, so no per-cycle code
-looks at the command's type.
+static facts once — the :class:`VectorPortState` of its ``dest``,
+``source`` and ``index`` ports — and starts its pattern iterator or element
+count, so no per-cycle code looks at the command's type.  The dispatcher
+keys it holds were decoded at enqueue (``CommandTrace.ports``).
 
 Write order belongs to the port.  Streams writing one vector port must
 deliver in program order, yet all-requests-in-flight lets the next
@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.isa.commands import Command, port_uses
+from ..core.isa.commands import Command
 from ..core.isa.patterns import LINE_BYTES, LineRequest, affine_requests
 from ..trace import TraceEvent
 from .errors import StreamTableError
@@ -62,12 +62,14 @@ SCRATCH_READ_LATENCY = 2
 
 @dataclass(eq=False)
 class ActiveStream:
-    """One stream-table entry; the port facts are resolved at accept."""
+    """One stream-table entry; the port facts are resolved at accept.
+
+    The ``(kind, port_id, role)`` keys the dispatcher holds for the stream
+    are ``trace.ports``, decoded at enqueue.
+    """
 
     command: Command
     trace: CommandTrace
-    #: (kind, port_id, role) keys the dispatcher holds for this stream
-    ports: Tuple[Tuple[str, int, str], ...] = ()
     dest: Optional[VectorPortState] = None
     source: Optional[VectorPortState] = None
     index: Optional[VectorPortState] = None
@@ -122,10 +124,8 @@ class StreamEngineBase:
         if not self.has_free_slot():
             raise StreamTableError(f"{self.name}: stream table full")
         port_state = self.sim.port_state
-        stream = ActiveStream(command, trace, tuple(
-            (port.kind, port.port_id, role) for port, role in port_uses(command)
-        ))
-        # ``dest`` is the one port a command writes ("w" in port_uses).
+        stream = ActiveStream(command, trace)
+        # ``dest`` is the one port a command writes (role "w").
         ref = getattr(command, "dest", None)
         if ref is not None:
             stream.dest = port_state(ref)
@@ -267,7 +267,7 @@ class StreamEngineBase:
         for stream in self.streams:
             if stream.issued_all and not stream.early_released:
                 stream.early_released = released = True
-                for key in stream.ports:
+                for key in stream.trace.ports:
                     self.sim.dispatcher.release_port(*key)
         return released
 

@@ -14,6 +14,7 @@ from repro.cgra import dnn_provisioned
 from repro.core.compiler import schedule
 from repro.core.dfg import parse_dfg
 from repro.core.isa import StreamProgram
+from repro.core.isa.commands import in_port
 from repro.resilience import (
     FAULT_KINDS,
     FailureReport,
@@ -26,6 +27,7 @@ from repro.resilience import (
 )
 from repro.sim import (
     ConfigError,
+    IllegalCommandError,
     MemorySystem,
     PortRuntimeError,
     ScratchpadError,
@@ -207,6 +209,20 @@ class TestFailureReports:
         with pytest.raises(ConfigError, match="no configuration image") as info:
             run_program(program, fabric=fabric, memory=MemorySystem())
         assert info.value.report is not None
+
+    def test_missing_port_is_an_illegal_command(self):
+        # Regression: a plain program naming a port the unit lacks used to
+        # fail with a bare KeyError from SoftbrainSim.port_state.
+        fabric = dnn_provisioned()
+        program = StreamProgram("noport", passthrough_config(fabric))
+        program.const_port(1, 4, in_port(99))
+        with pytest.raises(IllegalCommandError,
+                           match="nonexistent port in99") as info:
+            run_program(program, fabric=fabric, memory=MemorySystem())
+        assert info.value.report is not None
+        assert info.value.report.kind == "illegal-command"
+        # rejected at decode: the command never entered the queue
+        assert info.value.report.components["dispatcher"]["queue"] == []
 
     def test_trace_tail_captured_with_ring_sink(self):
         program, fabric, memory = deadlock_workload()

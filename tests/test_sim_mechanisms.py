@@ -197,6 +197,28 @@ class TestAllRequestsInFlight:
         assert read_words(memory, 0x30000, 4) == expected
 
 
+class TestPortScoreboard:
+    def test_blocked_command_passes_only_on_other_ports(self):
+        # Figure 6's per-port scoreboard: the second constant on port A
+        # waits for the first to release A; the SD_Port_Mem behind it uses
+        # only port O and dispatches past it; the third constant on A still
+        # dispatches after the second (same-port program order).
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        program = StreamProgram("scoreboard", passthrough(fabric))
+        program.const_port(1, 32, "A")
+        program.const_port(2, 8, "A")
+        program.port_mem("O", 384, 384, 1, 0x100)
+        program.const_port(3, 8, "A")
+        program.barrier_all()
+        result = run_program(program, fabric=fabric, memory=memory)
+        first, blocked, other_port, same_port = result.timeline.traces[1:5]
+        assert first.completed < blocked.dispatched
+        assert other_port.dispatched < blocked.dispatched
+        assert blocked.dispatched < same_port.dispatched
+        assert read_words(memory, 0x100, 48) == [1] * 32 + [2] * 8 + [3] * 8
+
+
 class TestMemoryWriteVisibility:
     def test_store_then_load_same_region_with_barrier(self):
         fabric = dnn_provisioned()
