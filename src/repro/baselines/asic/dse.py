@@ -76,8 +76,8 @@ def select_iso_performance(
     """The paper's ASIC design-point selection rule.
 
     Prefer designs within ``threshold`` of the Softbrain cycle count; if no
-    design lands in the band, fall back to the points closest in
-    performance.  Among candidates, take the Pareto front over
+    design lands in the band, fall back to every design at least as fast,
+    else to the fastest.  Among candidates, take the Pareto front over
     (power, area, cycles) and order by power first, then area.
     """
     if not estimates:
@@ -86,13 +86,10 @@ def select_iso_performance(
     high = target_cycles * (1.0 + threshold)
     candidates = [e for e in estimates if low <= e.cycles <= high]
     if not candidates:
-        # Best-effort: prefer at-least-as-fast designs, else the fastest.
+        # Best-effort: every at-least-as-fast design goes to the Pareto
+        # pick; if there is none, only the fastest designs do.
         fast_enough = [e for e in estimates if e.cycles <= high]
         if fast_enough:
-            closest = max(e.cycles for e in fast_enough)
-            candidates = [e for e in fast_enough if e.cycles == closest]
-            # Keep all points at that performance plus any cheaper ones
-            # within 2x of the target band for a meaningful Pareto choice.
             candidates = fast_enough
         else:
             fastest = min(e.cycles for e in estimates)
