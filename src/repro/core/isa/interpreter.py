@@ -99,23 +99,21 @@ class _State:
             return False
         dfg = self.config.dfg
         in_ports = [
-            (name, port.width,
+            (port.width,
              self.queue(PortRef("in", self.config.hw_input_port(name))))
             for name, port in dfg.inputs.items()
         ]
         out_ports = [
-            (name, self.queue(PortRef("out", self.config.hw_output_port(name))))
+            self.queue(PortRef("out", self.config.hw_output_port(name)))
             for name in dfg.outputs
         ]
         fired = False
-        while all(len(q) >= width for _, width, q in in_ports):
-            inputs = {
-                name: [q.popleft() for _ in range(width)]
-                for name, width, q in in_ports
-            }
-            results = self.compiled.run(inputs, self.acc_state)
-            for name, q in out_ports:
-                q.extend(results[name])
+        while all(len(q) >= width for width, q in in_ports):
+            words = [q.popleft() for width, q in in_ports
+                     for _ in range(width)]
+            results = self.compiled.run(words, self.acc_state)
+            for q, out in zip(out_ports, results):
+                q.extend(out)
             fired = True
         return fired
 

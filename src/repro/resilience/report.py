@@ -132,9 +132,9 @@ def snapshot_components(sim) -> Dict[str, Any]:
                                "reserved": state.reserved}
     cgra: Optional[Dict[str, Any]] = None
     if sim.cgra is not None:
-        ok, why = sim.cgra.can_fire()
+        why = sim.cgra.can_fire()
         cgra = {"in_flight": sim.cgra.in_flight,
-                "can_fire": ok, "blocked_on": why}
+                "can_fire": not why, "blocked_on": why}
     stats = sim.memory.stats
     return {
         "core": {

@@ -261,8 +261,8 @@ def build_wait_graph(sim, cycle: Optional[int] = None) -> WaitGraph:
 
     # -- CGRA ----------------------------------------------------------------
     if sim.cgra is not None:
-        ok, why = sim.cgra.can_fire()
-        if not ok:
+        why = sim.cgra.can_fire()
+        if why:
             graph.add_node("cgra", "cgra",
                            f"cannot fire ({why})")
             if why == "input":

@@ -5,7 +5,9 @@ input vector port — and, because the mesh has no flow control, space is
 guaranteed at the output ports — all of it is released into the fabric
 simultaneously.  The fabric is fully pipelined (initiation interval 1), so
 a new instance may fire every cycle; results emerge ``config.latency``
-cycles later at the output ports.
+cycles later at the output ports.  Because that latency is fixed, results
+leave in firing order: :class:`CgraExecutor` queues them in ``deliveries``
+and the simulator's step pushes each into the output ports when due.
 
 :class:`CompiledDfg` flattens a validated DFG into an index-addressed step
 list so the per-firing cost in the simulator stays small.
@@ -13,7 +15,8 @@ list so the per-firing cost in the simulator stays small.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Tuple
 
 from ..core.compiler.config import CgraConfig
 from ..core.dfg.graph import Constant, Dfg
@@ -120,17 +123,17 @@ class CompiledDfg:
 
     Each instruction becomes one closure (:func:`_compile_step`) over an
     index-addressed value list; :meth:`run` calls them in topological
-    order.
+    order.  Value slots ``0..num_inputs-1`` are the input lanes, port after
+    port in ``dfg.inputs`` order, so one instance's input words,
+    concatenated in that order, are the head of the value list.
     """
 
     def __init__(self, dfg: Dfg) -> None:
         self.dfg = dfg
         index: Dict[Tuple[str, int], int] = {}
-        self.input_slots: List[Tuple[str, int, int]] = []  # (port, lane, idx)
         for name, port in dfg.inputs.items():
             for lane in range(port.width):
                 index[(name, lane)] = len(index)
-                self.input_slots.append((name, lane, index[(name, lane)]))
         self.num_inputs = len(index)
 
         self.steps: List[Callable[[List[int], List[int]], None]] = []
@@ -155,38 +158,47 @@ class CompiledDfg:
                 acc_slot, identity,
             ))
         self.num_values = len(index)
+        self._padding = [0] * (self.num_values - self.num_inputs)
 
-        self.output_slots: List[Tuple[str, List[int]]] = [
-            (name, [index[(ref.node, ref.lane)] for ref in port.sources])
-            for name, port in dfg.outputs.items()
+        #: value slots of each output port's lanes, in ``dfg.outputs`` order
+        self.output_slots: List[List[int]] = [
+            [index[(ref.node, ref.lane)] for ref in port.sources]
+            for port in dfg.outputs.values()
         ]
 
     def make_state(self) -> List[int]:
         return list(self.acc_identity)
 
-    def run(
-        self, inputs: Dict[str, List[int]], state: List[int]
-    ) -> Dict[str, List[int]]:
-        """Execute one instance; mutates accumulator ``state`` in place."""
-        values = [0] * self.num_values
-        for port_name, lane, idx in self.input_slots:
-            values[idx] = inputs[port_name][lane]
+    def run(self, words: List[int], state: List[int]) -> List[List[int]]:
+        """Execute one instance; mutates accumulator ``state`` in place.
+
+        ``words`` holds the instance's input words concatenated in
+        ``dfg.inputs`` order; the result holds one word list per output
+        port, in ``dfg.outputs`` order.
+        """
+        values = words + self._padding
         for step in self.steps:
             step(values, state)
-        return {
-            name: [values[i] for i in slots] for name, slots in self.output_slots
-        }
+        return [[values[i] for i in slots] for slots in self.output_slots]
 
 
 class CgraExecutor:
-    """Runtime firing logic for the currently-loaded configuration."""
+    """Runtime firing logic for the currently-loaded configuration.
+
+    Per-firing bookkeeping is kept small: ``deliveries`` queues each
+    firing's results in firing order, and ``fired`` counts firings so
+    :meth:`fold_activity` can add the per-FU activity to the stats once.
+    """
 
     def __init__(self, sim: "SoftbrainSim", config: CgraConfig) -> None:  # noqa: F821
         self.sim = sim
         self.config = config
+        self.latency = config.latency
         self.compiled = CompiledDfg(config.dfg)
         self.state = self.compiled.make_state()
-        self.in_flight = 0
+        #: in-order pipeline exits: (ready_cycle, one word list per output)
+        self.deliveries: Deque[Tuple[int, List[List[int]]]] = deque()
+        self.fired = 0
 
         dfg = config.dfg
         self.inputs: List[Tuple[str, int, VectorPortState]] = [
@@ -214,20 +226,27 @@ class CgraExecutor:
                 self.fu_ops_per_instance.get(fu_name, 0) + 1
             )
 
-    def can_fire(self) -> Tuple[bool, str]:
+    @property
+    def in_flight(self) -> int:
+        """Instances fired whose results have not reached the ports."""
+        return len(self.deliveries)
+
+    def can_fire(self) -> str:
+        """The stall cause (``"input"`` or ``"output"``), or ``""`` when
+        an instance can fire this cycle."""
         for _, width, port in self.inputs:
-            if port.occupancy < width:
-                return False, "input"
+            if len(port.fifo) < width:
+                return "input"
         for _, width, port in self.outputs:
             if port.free_words < width:
-                return False, "output"
-        return True, ""
+                return "output"
+        return ""
 
     def tick(self, cycle: int) -> bool:
         """Fire at most one instance (II = 1)."""
-        ok, why = self.can_fire()
+        why = self.can_fire()
         sink = self.sim.trace
-        if not ok:
+        if why:
             # Only count stalls while there is actually upstream data;
             # the cgra.stall emissions mirror the counters one-for-one.
             if why == "output":
@@ -237,7 +256,7 @@ class CgraExecutor:
                         "cgra.stall", cycle, self.sim.unit, "cgra",
                         {"cause": "no_output_room"},
                     ))
-            elif any(port.occupancy for _, _, port in self.inputs):
+            elif any(port.fifo for _, _, port in self.inputs):
                 self.sim.stats.cgra_stall_no_input += 1
                 if sink.enabled:
                     sink.emit(TraceEvent(
@@ -245,25 +264,21 @@ class CgraExecutor:
                         {"cause": "no_input"},
                     ))
             return False
-        inputs = {
-            name: port.pop_words(width) for name, width, port in self.inputs
-        }
-        results = self.compiled.run(inputs, self.state)
+        words: List[int] = []
+        for _, width, port in self.inputs:
+            words += port.pop_words(width)
+        results = self.compiled.run(words, self.state)
         injector = self.sim.faults
         if injector is not None and cycle >= injector.cgra_at:
-            injector.flip_cgra_output(cycle, results)
-        for name, width, port in self.outputs:
+            injector.flip_cgra_output(
+                cycle, dict(zip(self.compiled.dfg.outputs, results)))
+        for _, width, port in self.outputs:
             port.reserve(width)
-        self.in_flight += 1
-        done = cycle + self.config.latency
-
-        def deliver() -> None:
-            for name, width, port in self.outputs:
-                port.push(results[name])
-            self.in_flight -= 1
-
-        self.sim.schedule(done, deliver)
-        self.sim.stats.note_firing(self.ops_per_instance, self.fu_ops_per_instance)
+        self.deliveries.append((cycle + self.latency, results))
+        self.fired += 1
+        stats = self.sim.stats
+        stats.instances_fired += 1
+        stats.ops_executed += self.ops_per_instance
         if sink.enabled:
             sink.emit(TraceEvent(
                 "cgra.fire", cycle, self.sim.unit, "cgra",
@@ -271,3 +286,24 @@ class CgraExecutor:
                  "fu": self.fu_ops_per_instance},
             ))
         return True
+
+    def deliver(self, cycle: int) -> None:
+        """Push every delivery due by ``cycle`` into the output ports."""
+        deliveries = self.deliveries
+        outputs = self.outputs
+        while deliveries and deliveries[0][0] <= cycle:
+            results = deliveries.popleft()[1]
+            for (_, _, port), words in zip(outputs, results):
+                port.push(words)
+
+    def fold_activity(self) -> None:
+        """Add ``count × fired`` per FU to ``stats.fu_activity`` and
+        restart the count; called when the executor is replaced and when
+        the run ends or fails, so the stats read complete afterwards."""
+        fired = self.fired
+        if not fired:
+            return
+        activity = self.sim.stats.fu_activity
+        for fu_name, count in self.fu_ops_per_instance.items():
+            activity[fu_name] = activity.get(fu_name, 0) + count * fired
+        self.fired = 0

@@ -16,7 +16,9 @@ it is in the queue.
 :meth:`Dispatcher.enqueue` is the decode stage: it rejects a command that
 names a port or engine this unit lacks, and resolves the command's
 ``(kind, port_id, role)`` scoreboard keys once, onto ``CommandTrace.ports``,
-for the scan, the stream engines and the watchdog to read.
+for the scan, the stream engines and the watchdog to read.  It also
+records the command's dispatch class on ``CommandTrace.kind``, so the scan
+never tests a command's type.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ from .stats import CommandTrace
 
 #: command-queue capacity between core and dispatcher
 COMMAND_QUEUE_DEPTH = 16
+
+
+def _dispatch_kind(command: Command) -> str:
+    """The dispatch class the scan branches on (``CommandTrace.kind``)."""
+    if is_barrier(command):
+        return "barrier"
+    if isinstance(command, SDConfig):
+        return "config"
+    return "stream"
 
 
 class Dispatcher:
@@ -83,7 +94,7 @@ class Dispatcher:
         if not self.can_enqueue():
             return None
         trace = self.sim.timeline.note_enqueue(
-            command, cycle, self._decode(command))
+            command, cycle, self._decode(command), _dispatch_kind(command))
         self.queue.append(trace)
         self.sim.dispatch_version += 1
         sink = self.sim.trace
@@ -147,10 +158,9 @@ class Dispatcher:
         self._used_quiesce = False
         blocked: Set[Tuple[str, int]] = set()
         for position, trace in enumerate(self.queue):
-            command = trace.command
-
-            if is_barrier(command):
-                if position == 0 and self._barrier_met(command):
+            kind = trace.kind
+            if kind == "barrier":
+                if position == 0 and self._barrier_met(trace.command):
                     self.queue.popleft()
                     trace.dispatched = cycle
                     trace.completed = cycle
@@ -162,7 +172,7 @@ class Dispatcher:
                     self._barrier_blocked = (trace.index, cycle)
                 return self._blocked()  # nothing may pass a pending barrier
 
-            if isinstance(command, SDConfig) and not self._resources_free(trace):
+            if kind == "config" and not self._resources_free(trace):
                 return self._blocked()  # nothing passes a reconfiguration
 
             ports = trace.ports
@@ -178,6 +188,7 @@ class Dispatcher:
             trace.dispatched = cycle
             for key in ports:
                 self.busy_ports[key] = self.busy_ports.get(key, 0) + 1
+            command = trace.command
             sink = self.sim.trace
             if sink.enabled:
                 sink.emit(TraceEvent(
@@ -222,14 +233,13 @@ class Dispatcher:
         ))
 
     def _resources_free(self, trace: CommandTrace) -> bool:
-        command = trace.command
-        engine = self.sim.engines[command.engine]
-        if not engine.has_free_slot():
+        if not self.sim.engines[trace.command.engine].has_free_slot():
             return False
+        busy_ports = self.busy_ports  # holds only counts >= 1
         for key in trace.ports:
-            if self.busy_ports.get(key, 0):
+            if key in busy_ports:
                 return False
-        if isinstance(command, SDConfig):
+        if trace.kind == "config":
             # Reconfiguration must wait until the whole unit quiesces: the
             # port mapping and datapath are about to change.
             self._used_quiesce = True

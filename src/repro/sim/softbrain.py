@@ -9,8 +9,9 @@ hierarchy.  :func:`run_program` is the main entry point::
 
 The main loop is cycle-stepped with event-driven fast-forward: when no
 component can make progress in a cycle, the clock jumps to the next pending
-event (memory completion, CGRA pipeline exit).  A cycle with no progress
-*and* no pending events is a deadlock and raises
+event (a memory completion on the event heap, or the next CGRA pipeline
+exit at the head of its in-order ``deliveries`` queue).  A cycle with no
+progress *and* no pending events is a deadlock and raises
 :class:`SimulationDeadlock` — the situation the paper's balance unit and
 buffering rules exist to prevent.  Every :class:`~repro.sim.errors.SimError`
 escaping :meth:`SoftbrainSim.run` carries a structured
@@ -218,6 +219,10 @@ class SoftbrainSim:
                 f"config {image.dfg.name!r} was scheduled for fabric "
                 f"{image.fabric.name!r}, unit has {self.fabric.name!r}"
             )
+        if self.cgra is not None:
+            # SD_Config dispatched only once the unit quiesced, so the
+            # old executor has no delivery left to make.
+            self.cgra.fold_activity()
         self.cgra = CgraExecutor(self, image)
         self.config_pending = False
         self.dispatch_version += 1
@@ -231,7 +236,7 @@ class SoftbrainSim:
         """All issued work is complete (used by SD_Barrier_All and config)."""
         if any(not engine.idle() for engine in self.engines.values()):
             return False
-        if self.cgra is not None and self.cgra.in_flight:
+        if self.cgra is not None and self.cgra.deliveries:
             return False
         return not self._events
 
@@ -247,6 +252,12 @@ class SoftbrainSim:
             if fn is not None:
                 fn()
             progress = True
+        cgra = self.cgra
+        if cgra is not None:
+            deliveries = cgra.deliveries
+            if deliveries and deliveries[0][0] <= cycle:
+                cgra.deliver(cycle)
+                progress = True
         if self.core.tick(cycle):
             progress = True
         if self.dispatcher.tick(cycle):
@@ -259,7 +270,7 @@ class SoftbrainSim:
         for engine in self._engine_list:
             if (engine.streams or stall_due) and engine.tick(cycle):
                 progress = True
-        if self.cgra is not None and self.cgra.tick(cycle):
+        if cgra is not None and cgra.tick(cycle):
             progress = True
         if self.trace.enabled and cycle >= self._next_port_sample:
             self._sample_ports(cycle)
@@ -298,11 +309,19 @@ class SoftbrainSim:
         )
 
     def next_event_cycle(self) -> Optional[int]:
-        return self._events[0][0] if self._events else None
+        """The earliest pending event-heap entry or CGRA delivery."""
+        nxt = self._events[0][0] if self._events else None
+        if self.cgra is not None and self.cgra.deliveries:
+            ready = self.cgra.deliveries[0][0]
+            if nxt is None or ready < nxt:
+                nxt = ready
+        return nxt
 
     def finalize(self, cycle: int) -> RunResult:
         """Record final statistics after the last active cycle."""
         self.cycle = cycle
+        if self.cgra is not None:
+            self.cgra.fold_activity()
         self.stats.cycles = cycle
         self.stats.control_instructions = self.core.instructions_executed
         return RunResult(self.stats, self.timeline, self.memory, self.scratchpad)
@@ -361,6 +380,8 @@ class SoftbrainSim:
             exc.program_name = self.program.name
         if exc.cycle is None:
             exc.cycle = self.cycle
+        if self.cgra is not None:
+            self.cgra.fold_activity()
         if exc.report is None:
             exc.report = build_failure_report(self, exc)
             message = exc.args[0] if exc.args else type(exc).__name__

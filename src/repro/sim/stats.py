@@ -37,7 +37,9 @@ class CommandTrace:
     (``command.enqueue`` / ``command.dispatch`` / ``command.complete``)
     carries, so ASCII timelines and exported traces can be joined on it.
     ``ports`` holds the command's ``(kind, port_id, role)`` scoreboard
-    keys, resolved once when the dispatcher decodes it at enqueue.
+    keys and ``kind`` its dispatch class (``"barrier"``, ``"config"`` or
+    ``"stream"``), both resolved once when the dispatcher decodes it at
+    enqueue.
     """
 
     index: int
@@ -46,6 +48,7 @@ class CommandTrace:
     dispatched: Optional[int] = None
     completed: Optional[int] = None
     ports: Tuple[Tuple[str, int, str], ...] = ()
+    kind: str = "stream"
 
     @property
     def label(self) -> str:
@@ -150,9 +153,10 @@ class Timeline:
         self.traces: List[CommandTrace] = []
 
     def note_enqueue(self, command: Command, cycle: int,
-                     ports: Tuple[Tuple[str, int, str], ...] = ()
-                     ) -> CommandTrace:
-        trace = CommandTrace(len(self.traces), command, cycle, ports=ports)
+                     ports: Tuple[Tuple[str, int, str], ...] = (),
+                     kind: str = "stream") -> CommandTrace:
+        trace = CommandTrace(len(self.traces), command, cycle, ports=ports,
+                             kind=kind)
         self.traces.append(trace)
         return trace
 

@@ -113,6 +113,11 @@ class StreamEngineBase:
         self.table_size = table_size
         self.streams: List[ActiveStream] = []
         self._rr = 0  # round-robin pointer for fair selection
+        #: entries across all streams' ``pending`` queues
+        self.buffered = 0
+        #: a stream may have issued its last request since the last
+        #: retire scan (set by accept and by every issue)
+        self._may_retire = False
 
     def has_free_slot(self) -> bool:
         return len(self.streams) < self.table_size
@@ -143,24 +148,35 @@ class StreamEngineBase:
         else:  # counted stream; SD_Config is one load
             stream.elements_left = getattr(command, "num_elements", 1)
         self.streams.append(stream)
+        self._may_retire = True
 
     def tick(self, cycle: int) -> bool:
         """Advance this engine one cycle; True if anything progressed."""
-        if self._fault_stalled(cycle):
+        if self.sim.faults is not None and self._fault_stalled(cycle):
             return False
-        progressed = False
+        drained = False
         for stream in self.streams:
-            if stream.pending and self._drain(stream, cycle):
+            pending = stream.pending
+            if (pending and pending[0][0] <= cycle
+                    and self._drain(stream, cycle)):
+                drained = True
+        # A stream finishes when its last request issues or its last
+        # delivery drains.  Retire only after every drain, so a port's
+        # next writer cannot deliver in the cycle its predecessor retires.
+        progressed = drained
+        if drained or self._may_retire:
+            self._may_retire = False
+            for stream in [s for s in self.streams
+                           if s.issued_all and not s.pending]:
+                self._retire(stream, cycle)
                 progressed = True
-        # Retire only after every drain, so a port's next writer cannot
-        # deliver in the cycle its predecessor retires.
-        done = [s for s in self.streams if s.issued_all and not s.pending]
-        for stream in done:
-            self._retire(stream, cycle)
         if self.MEMORY_ENGINE and self.sim.params.all_requests_in_flight:
             if self._early_release():
                 progressed = True
-        return self._issue_step(cycle) or progressed or bool(done)
+        if self._issue_step(cycle):
+            self._may_retire = True
+            return True
+        return progressed
 
     def _issue_step(self, cycle: int) -> bool:
         """Issue the chosen ready stream, if any; True if one issued."""
@@ -201,9 +217,10 @@ class StreamEngineBase:
 
     def _fault_stalled(self, cycle: int) -> bool:
         """True while an injected ``engine.stall`` fault freezes this
-        engine; schedules a wake-up so fast-forward still works."""
+        engine; schedules a wake-up so fast-forward still works.  Called
+        only when an injector is attached."""
         injector = self.sim.faults
-        if injector is None or cycle < injector.engine_stall_at:
+        if cycle < injector.engine_stall_at:
             return False
         until = injector.engine_stall_until(self.name, cycle)
         if until > cycle:
@@ -254,6 +271,7 @@ class StreamEngineBase:
                         },
                     ))
             pending.popleft()
+            self.buffered -= 1
             progressed = True
         return progressed
 
@@ -270,6 +288,12 @@ class StreamEngineBase:
                 for key in stream.trace.ports:
                     self.sim.dispatcher.release_port(*key)
         return released
+
+    def _buffer(self, stream: ActiveStream, ready: int,
+                words: List[int]) -> None:
+        """Queue a delivery of ``words`` (``[]`` for none) at ``ready``."""
+        stream.pending.append((ready, words))
+        self.buffered += 1
 
 
 def _coalesce(command: Command, indices: Deque[int],
@@ -302,7 +326,7 @@ class MemReadEngine(StreamEngineBase):
     BUFFER_LINES = 32
 
     def _issue_step(self, cycle: int) -> bool:
-        if sum(len(s.pending) for s in self.streams) >= self.BUFFER_LINES:
+        if self.buffered >= self.BUFFER_LINES:
             return False
         return super()._issue_step(cycle)
 
@@ -345,7 +369,7 @@ class MemReadEngine(StreamEngineBase):
                     request.element_addrs, request.elem_bytes,
                     command.pattern.signed,
                 )
-                stream.pending.append((ready, self._corrupt(cycle, words)))
+                self._buffer(stream, ready, self._corrupt(cycle, words))
                 self.sim.schedule(ready, None)
             else:  # SD_Mem_Scratch
                 data = b"".join(
@@ -357,7 +381,7 @@ class MemReadEngine(StreamEngineBase):
                 stream.elements_done += request.num_elements
                 scratchpad = self.sim.scratchpad
                 self.sim.schedule(ready, lambda: scratchpad.write(base, data))
-                stream.pending.append((ready, []))
+                self._buffer(stream, ready, [])
             stream.advance_request()
         elif stream.index is not None:  # SD_IndPort_Port
             index_port = stream.index
@@ -371,7 +395,7 @@ class MemReadEngine(StreamEngineBase):
             words = memory.store.read_elements(
                 addrs, command.elem_bytes, command.signed
             )
-            stream.pending.append((ready, self._corrupt(cycle, words)))
+            self._buffer(stream, ready, self._corrupt(cycle, words))
             self.sim.schedule(ready, None)
             stream.consume(len(addrs))
         else:  # SD_Config
@@ -379,7 +403,7 @@ class MemReadEngine(StreamEngineBase):
             ready = memory.issue(cycle, command.address, False, command.size)
             done = ready + max(0, lines - 1)
             self.sim.schedule(done, lambda: self.sim.apply_config(command.address))
-            stream.pending.append((done, []))
+            self._buffer(stream, done, [])
             stream.consume(1)
             self.sim.stats.config_loads += 1
 
@@ -431,7 +455,7 @@ class MemWriteEngine(StreamEngineBase):
                 memory.store.write_word(addr, word, elem_bytes)
 
         self.sim.schedule(ready, apply)
-        stream.pending.append((ready, []))
+        self._buffer(stream, ready, [])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +490,7 @@ class ScratchEngine(StreamEngineBase):
             request.element_addrs, request.elem_bytes,
             stream.command.pattern.signed,
         )
-        stream.pending.append((cycle + SCRATCH_READ_LATENCY, words))
+        self._buffer(stream, cycle + SCRATCH_READ_LATENCY, words)
         self.sim.schedule(cycle + SCRATCH_READ_LATENCY, None)
         stream.advance_request()
 

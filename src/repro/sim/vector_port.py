@@ -30,15 +30,12 @@ class VectorPortState:
 
     def __init__(self, spec: HwVectorPort) -> None:
         self.spec = spec
+        self.capacity_words = spec.capacity_words
         self.fifo: Deque[int] = deque()
         self.reserved = 0
         self.total_pushed = 0
         self.total_popped = 0
         self.writers: Deque = deque()
-
-    @property
-    def capacity_words(self) -> int:
-        return self.spec.capacity_words
 
     @property
     def occupancy(self) -> int:

@@ -25,6 +25,8 @@ from repro.core.isa.patterns import Affine2D, LINE_BYTES, affine_requests
 from repro.fuzz.generators import RANDOM_OPS, random_dfg, random_inputs
 from repro.sim.cgra_exec import CompiledDfg
 
+from .test_property_fastpath import run_by_name
+
 __all__ = ["RANDOM_OPS", "random_dfg", "random_inputs"]
 
 
@@ -46,7 +48,7 @@ class TestCompiledEquivalence:
         for round_no in range(3):
             inputs = random_inputs(dfg, data_seed + round_no)
             expected = dfg.execute(inputs, state_i)
-            got = compiled.run(inputs, state_c)
+            got = run_by_name(compiled, inputs, state_c)
             assert got == expected
 
     @given(seed=st.integers(0, 3_000), rounds=st.integers(1, 12))
@@ -66,7 +68,8 @@ class TestCompiledEquivalence:
                 "A": [rng.randint(0, WORD_MASK)],
                 "R": [rng.randint(0, 1)],
             }
-            assert compiled.run(inputs, state_c) == dfg.execute(inputs, state_i)
+            assert (run_by_name(compiled, inputs, state_c)
+                    == dfg.execute(inputs, state_i))
 
 
 class TestAffinePartition:

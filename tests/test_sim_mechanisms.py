@@ -1,9 +1,11 @@
 """Targeted tests for the microarchitectural mechanisms of Section 4.
 
 Each test isolates one mechanism — scratch barriers, the balance unit,
-all-requests-in-flight, indirect-AGU coalescing — and checks both its
-functional effect and its performance signature.
+all-requests-in-flight, indirect-AGU coalescing, the CGRA firing rule —
+and checks both its functional effect and its performance signature.
 """
+
+import functools
 
 import pytest
 
@@ -12,7 +14,7 @@ from repro.core.compiler import schedule
 from repro.core.dfg import parse_dfg
 from repro.core.isa import StreamProgram
 from repro.core.isa.interpreter import interpret_program
-from repro.sim import MemorySystem, SoftbrainParams, run_program
+from repro.sim import MemorySystem, SimError, SoftbrainParams, run_program
 from repro.trace import ListSink
 from repro.workloads.common import read_words, write_words
 
@@ -233,3 +235,164 @@ class TestMemoryWriteVisibility:
         program.barrier_all()
         run_program(program, fabric=fabric, memory=memory)
         assert read_words(memory, 0x200, 2) == [7, 8]
+
+
+def cycle_test(case):
+    """Run the test's ``(program, fabric, memory, ports, anchors, table)``
+    through ``do_cycle_test`` and raise its one collected failure."""
+    @functools.wraps(case)
+    def wrapper(self):
+        try:
+            self.do_cycle_test(case.__name__, *case(self))
+        except AssertionError as error:
+            error.__traceback__ = None
+            raise error
+    return wrapper
+
+
+class CycleTableTest:
+    """Check a per-cycle table of named rules against a traced run.
+
+    ``ports`` names the DFG ports to watch.  ``anchors`` maps a letter to
+    a function of the trace events giving a cycle; table rows are
+    ``(rule, cycles, cgra, *port_states)``, where ``cycles`` is ``"a+3"``
+    or a range ``"a+6..t-1"`` over anchors.  ``cgra`` is the CGRA's action
+    in the cycle (``fire``, ``stall:<cause>``, or ``-`` for none, as in a
+    cycle the run fast-forwards over), and each port state is
+    ``occupancy+reserved`` at the end of the cycle.  Every mismatch is
+    collected, and the test fails once, naming the rule, the signal and
+    the cycle of each.
+    """
+
+    def do_cycle_test(self, name, program, fabric, memory, ports, anchors,
+                      table):
+        sink = ListSink()
+        failures = []
+        try:
+            run_program(program, fabric=fabric, memory=memory, trace=sink,
+                        params=SoftbrainParams(trace_sample_interval=1))
+        except SimError as exc:
+            failures.append(f"run failed at cycle {exc.cycle}: "
+                            f"{str(exc).splitlines()[0]}")
+        events = sink.events
+        config = next(iter(program.config_images.values()))
+        hw_names = {
+            port: (f"in{config.hw_input_port(port)}"
+                   if port in config.dfg.inputs
+                   else f"out{config.hw_output_port(port)}")
+            for port in ports
+        }
+        cgra, samples = {}, {}
+        for event in events:
+            if event.kind == "cgra.fire":
+                cgra[event.cycle] = "fire"
+            elif event.kind == "cgra.stall":
+                cgra[event.cycle] = f"stall:{event.data['cause']}"
+            elif event.kind == "port.sample":
+                samples.setdefault(event.data["port"], {})[event.cycle] = (
+                    f"{event.data['occupancy']}+{event.data['reserved']}")
+        base = {letter: find(events) for letter, find in anchors.items()}
+
+        def at(expr):
+            letter, _, offset = expr.replace("-", "+-").partition("+")
+            return base[letter] + int(offset)
+
+        def port_state(port, cycle):
+            # a port keeps its last sampled state through unsampled cycles
+            seen = samples.get(hw_names[port], {})
+            known = [c for c in seen if c <= cycle]
+            return seen[max(known)] if known else "0+0"
+
+        for rule, cycles, want_cgra, *want_ports in table:
+            first, _, last = cycles.partition("..")
+            for cycle in range(at(first), at(last or first) + 1):
+                where = f"cycle {cycle} ({cycles})"
+                got = cgra.get(cycle, "-")
+                if got != want_cgra:
+                    failures.append(f"{rule}: chk cgra on {where}: "
+                                    f"got {got!r}, want {want_cgra!r}")
+                for port, want in zip(ports, want_ports):
+                    got = port_state(port, cycle)
+                    if got != want:
+                        failures.append(
+                            f"{rule}: chk {port} ({hw_names[port]}) on "
+                            f"{where}: got {got!r}, want {want!r}")
+        assert not failures, f"{name}:\n" + "\n".join(failures)
+
+
+def _first(kind, **data):
+    """Anchor: the cycle of the first ``kind`` event carrying ``data``."""
+    def find(events):
+        return next(e.cycle for e in events if e.kind == kind
+                    and all(e.data.get(k) == v for k, v in data.items()))
+    return find
+
+
+class TestCgraFiringRule(CycleTableTest):
+    """Section 4.4: an instance fires only when every input port holds its
+    data and its output room is reserved; fires are back to back at II=1,
+    and each result reaches its output port ``config.latency`` cycles
+    after its fire."""
+
+    @cycle_test
+    def test_fire_stall_and_delivery_table(self):
+        fabric = dnn_provisioned()
+        config = schedule(
+            parse_dfg("input A\ninput B\nx = add A B\noutput O x", "add"),
+            fabric)
+        # The table is written for this placement: B and O are 1-word
+        # ports with room for 16 words, results leave after 10 cycles.
+        assert config.latency == 10
+        memory = MemorySystem()
+        write_words(memory, 0x1000, list(range(100, 120)))
+        memory.warm(0x1000, 160)
+        program = StreamProgram("firing-rule", config)
+        program.const_port(1, 20, "A")  # lands at once from the RSE
+        program.mem_port(0x1000, 160, 160, 1, "B")  # an L2 hit later
+        program.port_mem("O", 160, 160, 1, 0x2000)  # pops 8-word lines
+        program.barrier_all()
+        in_b = f"in{config.hw_input_port('B')}"
+        anchors = {
+            "a": _first("stream.issue", command="SD_ConstPort"),
+            "t": _first("stream.drain", port=in_b),
+        }
+        inputs, latency, room = ("all inputs present", "latency 10",
+                                  "output room reserved")
+        table = [
+            # rule       cycles       cgra                     A       B       O
+            (inputs,     "a+0",       "stall:no_input",        "8+0",  "0+0",  "0+0"),
+            (inputs,     "a+1..a+5",  "stall:no_input",        "16+0", "0+0",  "0+0"),
+            (inputs,     "a+6..t-1",  "-",                     "16+0", "0+0",  "0+0"),
+            (inputs,     "t+0",       "fire",                  "15+0", "7+0",  "0+1"),
+            ("II=1",     "t+1",       "fire",                  "15+0", "14+0", "0+2"),
+            ("II=1",     "t+2",       "fire",                  "15+0", "13+0", "0+3"),
+            ("II=1",     "t+3",       "fire",                  "15+0", "12+0", "0+4"),
+            ("II=1",     "t+4",       "fire",                  "15+0", "15+0", "0+5"),
+            ("II=1",     "t+5",       "fire",                  "14+0", "14+0", "0+6"),
+            ("II=1",     "t+6",       "fire",                  "13+0", "13+0", "0+7"),
+            ("II=1",     "t+7",       "fire",                  "12+0", "12+0", "0+8"),
+            ("II=1",     "t+8",       "fire",                  "11+0", "11+0", "0+9"),
+            ("II=1",     "t+9",       "fire",                  "10+0", "10+0", "0+10"),
+            (latency,    "t+10",      "fire",                  "9+0",  "9+0",  "1+10"),
+            (latency,    "t+11",      "fire",                  "8+0",  "8+0",  "2+10"),
+            (latency,    "t+12",      "fire",                  "7+0",  "7+0",  "3+10"),
+            (latency,    "t+13",      "fire",                  "6+0",  "6+0",  "4+10"),
+            (latency,    "t+14",      "fire",                  "5+0",  "5+0",  "5+10"),
+            (latency,    "t+15",      "fire",                  "4+0",  "4+0",  "6+10"),
+            (room,       "t+16",      "stall:no_output_room",  "4+0",  "4+0",  "7+9"),
+            (room,       "t+17",      "fire",                  "3+0",  "3+0",  "0+9"),
+            (latency,    "t+18",      "fire",                  "2+0",  "2+0",  "1+9"),
+            (latency,    "t+19",      "fire",                  "1+0",  "1+0",  "2+9"),
+            (latency,    "t+20",      "fire",                  "0+0",  "0+0",  "3+9"),
+            (latency,    "t+21",      "-",                     "0+0",  "0+0",  "4+8"),
+            (latency,    "t+22",      "-",                     "0+0",  "0+0",  "5+7"),
+            (latency,    "t+23",      "-",                     "0+0",  "0+0",  "6+6"),
+            (latency,    "t+24",      "-",                     "0+0",  "0+0",  "7+5"),
+            (latency,    "t+25",      "-",                     "0+0",  "0+0",  "0+4"),
+            (latency,    "t+26",      "-",                     "0+0",  "0+0",  "0+4"),
+            (latency,    "t+27",      "-",                     "0+0",  "0+0",  "1+3"),
+            (latency,    "t+28",      "-",                     "0+0",  "0+0",  "2+2"),
+            (latency,    "t+29",      "-",                     "0+0",  "0+0",  "3+1"),
+            (latency,    "t+30",      "-",                     "0+0",  "0+0",  "0+0"),
+        ]
+        return program, fabric, memory, ("A", "B", "O"), anchors, table

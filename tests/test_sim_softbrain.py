@@ -6,6 +6,8 @@ scratchpad staging, barriers, reconfiguration — and checks both functional
 results and basic timing sanity.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cgra import broadly_provisioned, dnn_provisioned
@@ -14,11 +16,15 @@ from repro.core.dfg import DfgBuilder, parse_dfg
 from repro.core.isa import StreamProgram
 from repro.sim import (
     MemorySystem,
+    SimStats,
     SimulationDeadlock,
+    SimulationLimit,
     SoftbrainParams,
+    SoftbrainSim,
     run_program,
     render_timeline,
 )
+from repro.trace import ListSink, MetricsRegistry
 from repro.workloads.common import read_words, write_words
 
 
@@ -252,9 +258,19 @@ class TestReconfiguration:
         program.mem_port(0x700, 32, 32, 1, "A")
         program.port_mem("O", 32, 32, 1, 0x800)
         program.barrier_all()
-        result = run_program(program, fabric=fabric, memory=memory)
+        registry = MetricsRegistry()
+        result = run_program(program, fabric=fabric, memory=memory,
+                             trace=registry)
         assert read_words(memory, 0x800, 4) == [20, 40, 60, 80]
         assert result.stats.config_loads == 2
+        # Each executor's FU activity is folded into the stats when the
+        # next configuration replaces it and when the run ends.
+        assert registry.reconcile(result.stats) == {}
+        expected = Counter()
+        for config in (copy_config, double_config):
+            for coord in config.placement.values():
+                expected[fabric.pes[coord].fu.name] += 4  # 4 instances
+        assert result.stats.fu_activity == dict(expected)
 
 
 class TestTimingSanity:
@@ -306,6 +322,27 @@ class TestTimingSanity:
                 memory=memory,
                 params=SoftbrainParams(max_cycles=10),
             )
+
+    def test_cycle_limit_mid_run_folds_fu_activity(self):
+        # The 64 instances fire in cycles 185-251; stopping at 200 leaves
+        # the failure path to fold the FU activity counted so far.
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0, list(range(64)))
+        program = StreamProgram("lim-mid", passthrough_config(fabric))
+        program.mem_port(0, 512, 512, 1, "A")
+        program.port_mem("O", 512, 512, 1, 0x100)
+        program.barrier_all()
+        sink = ListSink()
+        sim = SoftbrainSim(program, fabric=fabric, memory=memory,
+                           params=SoftbrainParams(max_cycles=200),
+                           trace=sink)
+        with pytest.raises(SimulationLimit):
+            sim.run()
+        assert 0 < sim.stats.instances_fired < 64
+        assert (SimStats.from_events(sink.events).fu_activity
+                == sim.stats.fu_activity)
+        assert sum(sim.stats.fu_activity.values()) == sim.stats.ops_executed
 
 
 class TestRunLifetime:
