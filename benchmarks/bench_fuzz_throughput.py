@@ -2,8 +2,9 @@
 
 The fuzzer is only useful if a CI smoke budget (60 s) buys a meaningful
 number of cases, so this benchmark measures end-to-end cases/second —
-plan generation, scheduling (cache warm after the first few distinct
-DFGs), program build, and all three oracle legs — and asserts a floor
+plan generation, scheduling (every plan draws its own DFG, so each case
+schedules once; the build and oracle legs reuse that schedule), program
+build, and all three oracle legs — and asserts a floor
 well below typical machines so it never flakes, while ``record`` leaves
 the real number in ``benchmarks/results-<timestamp>.txt``.
 """

@@ -11,7 +11,8 @@ Each switch hop costs one cycle of pipeline latency (:data:`HOP_LATENCY`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Tuple
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
@@ -52,6 +53,17 @@ class MeshNetwork:
         x, y = coord
         candidates = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
         return [c for c in candidates if self.in_bounds(c)]
+
+    @cached_property
+    def neighbor_links(self) -> Dict[Coord, Tuple[Tuple[Coord, Link], ...]]:
+        """``coord -> ((nbr, (coord, nbr)), ...)`` in :meth:`neighbors` order.
+
+        Built on first use; a mesh is never resized after construction.
+        """
+        return {
+            coord: tuple((nbr, (coord, nbr)) for nbr in self.neighbors(coord))
+            for coord in self.coords()
+        }
 
     def links(self) -> Iterator[Link]:
         """Every directed switch-to-switch link."""

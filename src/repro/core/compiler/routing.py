@@ -32,16 +32,9 @@ class RouterState:
     mesh: MeshNetwork
     occupancy: Dict[Link, Set[str]] = field(default_factory=dict)
 
-    def users(self, link: Link) -> Set[str]:
-        return self.occupancy.setdefault(link, set())
-
-    def can_use(self, link: Link, producer: str) -> bool:
-        users = self.users(link)
-        return producer in users or len(users) < self.mesh.channels
-
     def claim_path(self, path: List[Link], producer: str) -> None:
         for link in path:
-            self.users(link).add(producer)
+            self.occupancy.setdefault(link, set()).add(producer)
 
     def total_channels_used(self) -> int:
         return sum(len(users) for users in self.occupancy.values())
@@ -62,23 +55,31 @@ def route_value(
     if src == dst:
         return []
     mesh = state.mesh
-    # 0-1 BFS: reused links cost 0, fresh channel claims cost 1.
+    occupancy = state.occupancy
+    channels = mesh.channels
+    neighbor_links = mesh.neighbor_links
+    inf = float("inf")
+    # 0-1 BFS: reused links cost 0, fresh channel claims cost 1; a link
+    # with every channel taken by other values is impassable.
     best: Dict[Coord, int] = {src: 0}
     parent: Dict[Coord, Link] = {}
     queue: deque = deque([(0, src)])
     while queue:
         cost, coord = queue.popleft()
-        if cost > best.get(coord, float("inf")):
+        if cost > best.get(coord, inf):
             continue
         if coord == dst:
             break
-        for nbr in mesh.neighbors(coord):
-            link = (coord, nbr)
-            if not state.can_use(link, producer):
+        for nbr, link in neighbor_links[coord]:
+            users = occupancy.get(link, ())
+            if producer in users:
+                step = 0
+            elif len(users) < channels:
+                step = 1
+            else:
                 continue
-            step = 0 if producer in state.users(link) else 1
             new_cost = cost + step
-            if new_cost < best.get(nbr, float("inf")):
+            if new_cost < best.get(nbr, inf):
                 best[nbr] = new_cost
                 parent[nbr] = link
                 if step == 0:

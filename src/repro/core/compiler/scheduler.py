@@ -107,6 +107,55 @@ def _placement_cost(
     return cost
 
 
+def _wiring(
+    dfg: Dfg,
+    fabric: Fabric,
+    port_map: Dict[str, int],
+) -> Tuple[Dict[str, List[str]], Dict[str, List[Coord]], Dict[str, List[Coord]]]:
+    """Per-instruction wire tables: ``(peers, input_pins, output_pins)``.
+
+    ``peers[name]`` lists the other instructions ``name`` shares an edge
+    with, once per edge (either direction); self-edges are dropped, their
+    length is always 0.  ``input_pins[name]`` holds the input-lane attach
+    point of each operand read from an input port, and
+    ``output_pins[name]`` the output-lane attach point of each output lane
+    ``name`` feeds.  Together they list every edge term of
+    :func:`_placement_cost` that moves with ``name``.
+    """
+    instructions = dfg.instructions
+    in_attach = {
+        name: fabric.find_port("in", port_map[name]).attach
+        for name in dfg.inputs
+    }
+    peers: Dict[str, List[str]] = {name: [] for name in instructions}
+    input_pins: Dict[str, List[Coord]] = {name: [] for name in instructions}
+    output_pins: Dict[str, List[Coord]] = {name: [] for name in instructions}
+    for inst in instructions.values():
+        for ref in dfg.operand_refs(inst):
+            if ref.node in in_attach:
+                attach = in_attach[ref.node]
+                input_pins[inst.name].append(attach[ref.lane % len(attach)])
+            elif ref.node in instructions and ref.node != inst.name:
+                peers[inst.name].append(ref.node)
+                peers[ref.node].append(inst.name)
+    for port_name, port in dfg.outputs.items():
+        attach = fabric.find_port("out", port_map[port_name]).attach
+        for lane, ref in enumerate(port.sources):
+            if ref.node in instructions:
+                output_pins[ref.node].append(attach[lane % len(attach)])
+    return peers, input_pins, output_pins
+
+
+def _supporting_coords(dfg: Dfg, fabric: Fabric) -> Dict[str, List[Coord]]:
+    """Coords of the PEs supporting each op the DFG uses, in fabric order."""
+    coords: Dict[str, List[Coord]] = {}
+    for inst in dfg.instructions.values():
+        op = inst.op.name
+        if op not in coords:
+            coords[op] = [pe.coord for pe in fabric.pes_supporting(op)]
+    return coords
+
+
 def _greedy_placement(
     dfg: Dfg,
     fabric: Fabric,
@@ -116,44 +165,40 @@ def _greedy_placement(
     """Topological-order constructive placement minimising wirelength."""
     placement: Dict[str, Coord] = {}
     occupied: set = set()
-    mesh = fabric.mesh
+    bottom = fabric.mesh.rows - 1
     consumers = dfg.consumers()
+    _, input_pins, output_pins = _wiring(dfg, fabric, port_map)
+    supporting = _supporting_coords(dfg, fabric)
+    # Prefer the least-capable FU that supports the op, so scarce
+    # specialised units (sigmoid, divide) stay free for the ops that
+    # actually need them.
+    richness = {coord: len(pe.fu.ops) for coord, pe in fabric.pes.items()}
 
     for inst in dfg.topological_order():
         candidates = [
-            pe.coord
-            for pe in fabric.pes_supporting(inst.op.name)
-            if pe.coord not in occupied
+            coord for coord in supporting[inst.op.name] if coord not in occupied
         ]
         if not candidates:
             raise SchedulingError(
                 f"no free FU for op {inst.op.name!r} "
                 f"(instruction {inst.name!r}) on fabric {fabric.name!r}"
             )
-        source_coords = [
-            coord
+        source_coords = input_pins[inst.name] + [
+            placement[ref.node]
             for ref in dfg.operand_refs(inst)
-            if (coord := _value_coord(dfg, fabric, port_map, placement, ref))
-            is not None
+            if ref.node in placement
         ]
         # Pull instructions that feed outputs toward the bottom edge.
-        feeds_output = any(
-            ref.node == inst.name
-            for port in dfg.outputs.values()
-            for ref in port.sources
-        )
+        feeds_output = bool(output_pins[inst.name])
+        # Leave room below for downstream consumers.
+        has_consumers = bool(consumers.get(inst.name))
 
         def score(coord: Coord) -> Tuple[int, int, int, float]:
-            # Prefer the least-capable FU that supports the op, so scarce
-            # specialised units (sigmoid, divide) stay free for the ops
-            # that actually need them.
-            richness = len(fabric.pes[coord].fu.ops)
-            wire = sum(mesh.manhattan(src, coord) for src in source_coords)
-            pull = (mesh.rows - 1 - coord[1]) if feeds_output else 0
-            # Leave room below for downstream consumers.
-            downstream = len(consumers.get(inst.name, []))
-            headroom = coord[1] if downstream else 0
-            return (richness, wire + pull, headroom, rng.random())
+            x, y = coord
+            wire = sum(abs(sx - x) + abs(sy - y) for sx, sy in source_coords)
+            pull = bottom - y if feeds_output else 0
+            headroom = y if has_consumers else 0
+            return (richness[coord], wire + pull, headroom, rng.random())
 
         best = min(candidates, key=score)
         placement[inst.name] = best
@@ -169,7 +214,14 @@ def _anneal_placement(
     rng: random.Random,
     iterations: int,
 ) -> Dict[str, Coord]:
-    """Simulated-annealing refinement by pairwise swaps and moves."""
+    """Simulated-annealing refinement by pairwise swaps and moves.
+
+    A move is scored by the wires it touches: the wirelength of the moved
+    instruction and of the occupant it swaps with, after minus before.  A
+    wire between the two keeps its length across a swap, so counting it
+    from both sides adds 0, and ``cost`` stays equal to
+    :func:`_placement_cost` of the current placement.
+    """
     if not placement or iterations <= 0:
         return placement
     placement = dict(placement)
@@ -179,31 +231,49 @@ def _anneal_placement(
     temperature = max(2.0, cost / 4.0)
     cooling = 0.995
 
-    free_by_op: Dict[str, List[Coord]] = {}
-    for inst in dfg.instructions.values():
-        coords = [pe.coord for pe in fabric.pes_supporting(inst.op.name)]
-        free_by_op[inst.name] = coords
+    peers, input_pins, output_pins = _wiring(dfg, fabric, port_map)
+    pins = {name: input_pins[name] + output_pins[name] for name in names}
+    supporting = _supporting_coords(dfg, fabric)
+    supported = {op: set(coords) for op, coords in supporting.items()}
+    op_of = {name: dfg.instructions[name].op.name for name in names}
+    # A placement holds at most one instruction per PE.
+    occupant_at = {coord: name for name, coord in placement.items()}
+
+    def wirelength(name: str) -> int:
+        x, y = placement[name]
+        total = 0
+        for peer in peers[name]:
+            px, py = placement[peer]
+            total += abs(px - x) + abs(py - y)
+        for px, py in pins[name]:
+            total += abs(px - x) + abs(py - y)
+        return total
 
     for _ in range(iterations):
         name = rng.choice(names)
         old = placement[name]
-        target = rng.choice(free_by_op[name])
+        target = rng.choice(supporting[op_of[name]])
         if target == old:
             continue
-        occupant = next(
-            (n for n, c in placement.items() if c == target), None
-        )
-        if occupant is not None and not fabric.pes[old].supports(
-            dfg.instructions[occupant].op.name
-        ):
+        occupant = occupant_at.get(target)
+        if occupant is not None and old not in supported[op_of[occupant]]:
             continue  # swap would strand the occupant on an unsupported FU
-        placement[name] = target
-        if occupant is not None:
+        if occupant is None:
+            before = wirelength(name)
+            placement[name] = target
+            delta = wirelength(name) - before
+        else:
+            before = wirelength(name) + wirelength(occupant)
+            placement[name] = target
             placement[occupant] = old
-        new_cost = _placement_cost(dfg, fabric, port_map, placement)
-        delta = new_cost - cost
+            delta = wirelength(name) + wirelength(occupant) - before
         if delta <= 0 or rng.random() < pow(2.718, -delta / temperature):
-            cost = new_cost
+            cost += delta
+            occupant_at[target] = name
+            if occupant is None:
+                del occupant_at[old]
+            else:
+                occupant_at[old] = occupant
             if cost < best_cost:
                 best, best_cost = dict(placement), cost
         else:  # revert

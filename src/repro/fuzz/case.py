@@ -314,6 +314,10 @@ def _aligned(nbytes: int) -> int:
 
 # -- lowering -----------------------------------------------------------------
 
+#: the one fabric every fuzz DFG is scheduled on; nothing mutates a
+#: fabric after it is built, so every case and config shares it
+FUZZ_FABRIC = broadly_provisioned()
+
 _SCHEDULE_CACHE: Dict[Tuple[str, int], CgraConfig] = {}
 
 
@@ -327,7 +331,7 @@ def schedule_plan_dfg(dfg_spec: dict, schedule_seed: int) -> CgraConfig:
     if config is None:
         config = schedule(
             dfg_from_spec(dfg_spec),
-            broadly_provisioned(),
+            FUZZ_FABRIC,
             seed=schedule_seed,
             anneal_iterations=FUZZ_ANNEAL_ITERATIONS,
             max_attempts=FUZZ_SCHEDULE_ATTEMPTS,
@@ -350,7 +354,7 @@ class BuiltCase:
 
     @property
     def fabric(self):
-        return broadly_provisioned()
+        return self.config.fabric
 
     def fresh_memory(self) -> MemorySystem:
         memory = MemorySystem()

@@ -1,6 +1,10 @@
 """Unit tests for the spatial compiler: routing, placement, delay matching."""
 
+import random
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cgra import MeshNetwork, broadly_provisioned, build_fabric, dnn_provisioned
 from repro.core.compiler import (
@@ -14,7 +18,17 @@ from repro.core.compiler import (
     route_value,
     schedule,
 )
+from repro.core.compiler import scheduler
+from repro.core.compiler.scheduler import _placement_cost, _value_coord
 from repro.core.dfg import DfgBuilder, parse_dfg
+from repro.fuzz.case import (
+    FUZZ_ANNEAL_ITERATIONS,
+    FUZZ_FABRIC,
+    FUZZ_SCHEDULE_ATTEMPTS,
+)
+from repro.fuzz.generators import dfg_from_spec, random_plan
+from repro.workloads.dnn import DNN_LAYERS, build_dnn_layer
+from repro.workloads.machsuite import MACHSUITE
 
 DOT = parse_dfg(
     "input A 3\ninput B 3\n"
@@ -217,3 +231,284 @@ class TestSchedule:
         )
         config = schedule(dfg, broadly_provisioned())
         assert len(config.placement) == 2
+
+
+# ---------------------------------------------------------------------------
+# Exactness against the reference placer, annealer and router
+# ---------------------------------------------------------------------------
+
+
+def reference_greedy(dfg, fabric, port_map, rng):
+    """Reference constructive placement: look every operand coord up per
+    instruction and re-derive each candidate's FU richness per score."""
+    placement = {}
+    occupied = set()
+    mesh = fabric.mesh
+    consumers = dfg.consumers()
+    for inst in dfg.topological_order():
+        candidates = [
+            pe.coord
+            for pe in fabric.pes_supporting(inst.op.name)
+            if pe.coord not in occupied
+        ]
+        if not candidates:
+            raise SchedulingError(
+                f"no free FU for op {inst.op.name!r} "
+                f"(instruction {inst.name!r}) on fabric {fabric.name!r}"
+            )
+        source_coords = [
+            coord
+            for ref in dfg.operand_refs(inst)
+            if (coord := _value_coord(dfg, fabric, port_map, placement, ref))
+            is not None
+        ]
+        feeds_output = any(
+            ref.node == inst.name
+            for port in dfg.outputs.values()
+            for ref in port.sources
+        )
+
+        def score(coord):
+            richness = len(fabric.pes[coord].fu.ops)
+            wire = sum(mesh.manhattan(src, coord) for src in source_coords)
+            pull = (mesh.rows - 1 - coord[1]) if feeds_output else 0
+            headroom = coord[1] if consumers.get(inst.name) else 0
+            return (richness, wire + pull, headroom, rng.random())
+
+        best = min(candidates, key=score)
+        placement[inst.name] = best
+        occupied.add(best)
+    return placement
+
+
+def reference_anneal(dfg, fabric, port_map, placement, rng, iterations):
+    """Reference annealer: re-cost the whole placement on every move.
+
+    Finds a move's occupant by scanning the placement.  Kept only as the
+    oracle that :func:`scheduler._anneal_placement`'s incremental cost
+    and coord map must match move for move.
+    """
+    if not placement or iterations <= 0:
+        return placement
+    placement = dict(placement)
+    names = list(placement)
+    cost = _placement_cost(dfg, fabric, port_map, placement)
+    best, best_cost = dict(placement), cost
+    temperature = max(2.0, cost / 4.0)
+    free_by_op = {
+        inst.name: [pe.coord for pe in fabric.pes_supporting(inst.op.name)]
+        for inst in dfg.instructions.values()
+    }
+    for _ in range(iterations):
+        name = rng.choice(names)
+        old = placement[name]
+        target = rng.choice(free_by_op[name])
+        if target == old:
+            continue
+        occupant = next((n for n, c in placement.items() if c == target), None)
+        if occupant is not None and not fabric.pes[old].supports(
+            dfg.instructions[occupant].op.name
+        ):
+            continue
+        placement[name] = target
+        if occupant is not None:
+            placement[occupant] = old
+        new_cost = _placement_cost(dfg, fabric, port_map, placement)
+        delta = new_cost - cost
+        if delta <= 0 or rng.random() < pow(2.718, -delta / temperature):
+            cost = new_cost
+            if cost < best_cost:
+                best, best_cost = dict(placement), cost
+        else:
+            placement[name] = old
+            if occupant is not None:
+                placement[occupant] = target
+        temperature = max(0.05, temperature * 0.995)
+    return best
+
+
+def reference_route_value(state, producer, src, dst):
+    """Reference router: 0-1 BFS asking ``mesh.neighbors`` at every step.
+
+    Probing a link records an empty user set for it, as the original
+    router did; only the non-empty occupancy is comparable.
+    """
+    if src == dst:
+        return []
+    mesh = state.mesh
+
+    def users(link):
+        return state.occupancy.setdefault(link, set())
+
+    best = {src: 0}
+    parent = {}
+    queue = deque([(0, src)])
+    while queue:
+        cost, coord = queue.popleft()
+        if cost > best.get(coord, float("inf")):
+            continue
+        if coord == dst:
+            break
+        for nbr in mesh.neighbors(coord):
+            link = (coord, nbr)
+            if producer not in users(link) and len(users(link)) >= mesh.channels:
+                continue
+            step = 0 if producer in users(link) else 1
+            if cost + step < best.get(nbr, float("inf")):
+                best[nbr] = cost + step
+                parent[nbr] = link
+                if step == 0:
+                    queue.appendleft((cost + step, nbr))
+                else:
+                    queue.append((cost + step, nbr))
+    if dst not in parent:
+        raise RoutingError(
+            f"no route for {producer!r} from {src} to {dst} "
+            f"(channels={mesh.channels})"
+        )
+    path = []
+    coord = dst
+    while coord != src:
+        link = parent[coord]
+        path.append(link)
+        coord = link[0]
+    path.reverse()
+    for link in path:
+        users(link).add(producer)
+    return path
+
+
+@pytest.fixture
+def reference_schedule(monkeypatch):
+    """``schedule`` with the reference placer, annealer and router."""
+
+    def run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler, "_greedy_placement", reference_greedy)
+            patch.setattr(scheduler, "_anneal_placement", reference_anneal)
+            patch.setattr(scheduler, "route_value", reference_route_value)
+            return scheduler.schedule(*args, **kwargs)
+
+    return run
+
+
+def schedule_key(make_schedule, *args, **kwargs):
+    """Everything a schedule decides, in order, or the error it raised."""
+    try:
+        config = make_schedule(*args, **kwargs)
+    except SchedulingError as exc:
+        return ("error", str(exc))
+    return (
+        list(config.placement.items()),
+        list(config.port_map.items()),
+        [
+            (key, edge.src, edge.dst, edge.links, edge.extra_delay)
+            for key, edge in config.edges.items()
+        ],
+        config.latency,
+    )
+
+
+def _golden_configs(build):
+    return list(build().program.config_images.values())
+
+
+GOLDEN_BUILDS = [
+    (f"machsuite-{name}", MACHSUITE[name][0]) for name in MACHSUITE
+] + [
+    (f"dnn-{layer.name}", lambda layer=layer: build_dnn_layer(layer))
+    for layer in DNN_LAYERS
+]
+
+EDGE_CASES = {
+    # one operand wire listed twice in each peer table
+    "repeated-operand": (
+        "input A 2\nx = add A.0 A.1\nm = mul x x\ns = mul A.0 A.0\n"
+        "t = add m s\noutput O t"
+    ),
+    # an output lane wired straight from an input lane, beside a real one
+    "input-to-output": (
+        "input A 2\nx = add A.0 A.1\ny = sub x A.1\noutput O y A.1"
+    ),
+    "accumulator": (
+        "input A 2\ninput R\nm = mul A.0 A.1\na = acc m R\n"
+        "s = add a A.0\noutput O s"
+    ),
+    # x and y feed each other's consumers and can trade PEs
+    "mutual-swap": (
+        "input A 2\nx = add A.0 A.1\ny = add x A.1\nz = add x y\n"
+        "w = add z y\noutput O w z"
+    ),
+}
+
+
+class TestScheduleExactness:
+    """Table-driven placement and routing change no schedule."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in GOLDEN_BUILDS], ids=[n for n, _ in GOLDEN_BUILDS]
+    )
+    def test_golden_suite(self, build, reference_schedule):
+        for config in _golden_configs(build):
+            dfg, fabric = config.dfg, config.fabric
+            assert schedule_key(schedule, dfg, fabric) == schedule_key(
+                reference_schedule, dfg, fabric
+            )
+
+    def test_random_plans(self, reference_schedule):
+        for index in range(200):
+            plan = random_plan(random.Random(f"exact:{index}"))
+            dfg = dfg_from_spec(plan.dfg_spec)
+            kwargs = dict(
+                seed=plan.schedule_seed,
+                anneal_iterations=FUZZ_ANNEAL_ITERATIONS,
+                max_attempts=FUZZ_SCHEDULE_ATTEMPTS,
+            )
+            assert schedule_key(schedule, dfg, FUZZ_FABRIC, **kwargs) == (
+                schedule_key(reference_schedule, dfg, FUZZ_FABRIC, **kwargs)
+            ), plan.dfg_spec
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("fabric", [dnn_provisioned(), FUZZ_FABRIC],
+                             ids=["dnn", "broad"])
+    def test_edge_cases(self, name, fabric, reference_schedule):
+        dfg = parse_dfg(EDGE_CASES[name], name)
+        for seed in range(20):
+            assert schedule_key(schedule, dfg, fabric, seed=seed) == (
+                schedule_key(reference_schedule, dfg, fabric, seed=seed)
+            ), seed
+
+
+@st.composite
+def route_requests(draw):
+    cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    coords = st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1))
+    requests = draw(st.lists(
+        st.tuples(st.sampled_from(["v0", "v1", "v2", "v3"]), coords, coords),
+        min_size=1, max_size=12,
+    ))
+    return MeshNetwork(cols, rows, channels=draw(st.integers(1, 2))), requests
+
+
+class TestRouterExactness:
+    @given(case=route_requests())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_router(self, case):
+        mesh, requests = case
+        state, reference = RouterState(mesh), RouterState(mesh)
+
+        def outcome(route, router_state, request):
+            try:
+                return route(router_state, *request)
+            except RoutingError as exc:
+                return str(exc)
+
+        for request in requests:
+            assert outcome(route_value, state, request) == outcome(
+                reference_route_value, reference, request
+            )
+            assert state.occupancy == {
+                link: users for link, users in reference.occupancy.items()
+                if users
+            }
+        assert state.total_channels_used() == reference.total_channels_used()
