@@ -14,6 +14,7 @@ ints holding the raw 64-bit word (``0 <= word < 2**64``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -178,20 +179,20 @@ def _lshift(a: int, b: int) -> int:
 
 
 # Arithmetic -----------------------------------------------------------------
-register(Operation("add", 2, 1, 0.10, lambda a, b: a + b, commutative=True))
-register(Operation("sub", 2, 1, 0.10, lambda a, b: a - b))
-register(Operation("mul", 2, 2, 0.80, lambda a, b: a * b, commutative=True))
+register(Operation("add", 2, 1, 0.10, operator.add, commutative=True))
+register(Operation("sub", 2, 1, 0.10, operator.sub))
+register(Operation("mul", 2, 2, 0.80, operator.mul, commutative=True))
 register(Operation("div", 2, 8, 2.40, _div))
 register(Operation("mod", 2, 8, 2.40, _mod))
 register(Operation("abs", 1, 1, 0.05, abs))
-register(Operation("neg", 1, 1, 0.05, lambda a: -a))
+register(Operation("neg", 1, 1, 0.05, operator.neg))
 register(Operation("min", 2, 1, 0.10, min, commutative=True))
 register(Operation("max", 2, 1, 0.10, max, commutative=True))
 
 # Logic / shifts --------------------------------------------------------------
-register(Operation("and", 2, 1, 0.03, lambda a, b: a & b, commutative=True))
-register(Operation("or", 2, 1, 0.03, lambda a, b: a | b, commutative=True))
-register(Operation("xor", 2, 1, 0.03, lambda a, b: a ^ b, commutative=True))
+register(Operation("and", 2, 1, 0.03, operator.and_, commutative=True))
+register(Operation("or", 2, 1, 0.03, operator.or_, commutative=True))
+register(Operation("xor", 2, 1, 0.03, operator.xor, commutative=True))
 register(Operation("shl", 2, 1, 0.05, _lshift))
 register(Operation("shr", 2, 1, 0.05, _rshift))
 

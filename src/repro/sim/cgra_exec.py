@@ -22,6 +22,7 @@ from ..core.compiler.config import CgraConfig
 from ..core.dfg.graph import Constant, Dfg
 from ..core.dfg.instructions import (
     ACCUMULATOR_OPS,
+    SUBWORD_WIDTHS,
     WORD_BITS,
     WORD_MASK,
     accumulator_identity,
@@ -32,54 +33,104 @@ from ..trace import TraceEvent
 from .vector_port import VectorPortState
 
 
-def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
+#: 2-operand ops whose low n result bits depend only on the low n bits of
+#: their operands, so unsigned lanes give the same lane bits as signed ones
+_WRAPPING_OPS = frozenset({"add", "sub", "mul", "and", "or", "xor"})
+
+
+def _lane_masks(lane_bits: int) -> Tuple[int, int]:
+    """``(L, H)`` for the carry-masked (SWAR) add ``((a & L) + (b & L)) ^
+    ((a ^ b) & H)``: H holds each lane's top bit, L every other bit.  The
+    low bits of a lane add without carrying into the next lane, and the
+    lane's top bit is the XOR of both top bits and that carry, so every
+    lane wraps as a signed add would; the sum never exceeds 64 bits."""
+    high = sum(1 << top for top in range(lane_bits - 1, WORD_BITS, lane_bits))
+    return WORD_MASK ^ high, high
+
+
+_LANE_MASKS = {bits: _lane_masks(bits) for bits in SUBWORD_WIDTHS}
+_SIGN64 = 1 << 63
+
+
+def _compile_step(op, lane_bits, operands, out_idx, acc_slot, identity):
     """Specialise one DFG step into a closure ``step(values, state)``.
 
-    The closures replicate :meth:`Operation.evaluate` /
-    :func:`accumulate_combine` arithmetic exactly — same ``to_signed`` /
-    ``from_signed`` lane math — just without per-call validation, lane
-    splitting into lists, or operand-list allocation.  Agreement with
-    :meth:`Dfg.execute` is enforced by tests/test_property_fastpath.py.
+    ``operands`` holds the value slot of each operand (constants have
+    slots too).  The closures replicate :meth:`Operation.evaluate` /
+    :func:`accumulate_combine` arithmetic exactly, without per-call
+    validation, lane splitting into lists, or operand-list allocation.
+    The common cases run word-parallel kernels picked here
+    (docs/PERFORMANCE.md); the rest loop over the lanes with the same
+    ``to_signed`` / ``from_signed`` lane math.  Agreement with
+    :meth:`Dfg.execute` is enforced by tests/test_property_dfg.py.
     """
     lane_mask = (1 << lane_bits) - 1
     sign = 1 << (lane_bits - 1)
     shifts = tuple(range(0, WORD_BITS, lane_bits))
 
     if acc_slot >= 0:
+        value_idx, reset_idx = operands
+        if op.name == "acc":
+            low, high = _LANE_MASKS[lane_bits]
+
+            def step(values, state):
+                a = state[acc_slot]
+                b = values[value_idx]
+                word = ((a & low) + (b & low)) ^ ((a ^ b) & high)
+                values[out_idx] = word
+                state[acc_slot] = identity if values[reset_idx] else word
+
+            return step
+
         combine = get_operation(ACCUMULATOR_OPS[op.name]).lane_fn
-        (value_const, value_ref), (reset_const, reset_ref) = operand_spec
 
         def step(values, state):
-            value = value_ref if value_const else values[value_ref]
-            reset = reset_ref if reset_const else values[reset_ref]
             current = state[acc_slot] & WORD_MASK
-            value &= WORD_MASK
+            value = values[value_idx] & WORD_MASK
             word = 0
             for shift in shifts:
                 a = (((current >> shift) & lane_mask) ^ sign) - sign
                 b = (((value >> shift) & lane_mask) ^ sign) - sign
                 word |= (combine(a, b) & lane_mask) << shift
             values[out_idx] = word
-            state[acc_slot] = identity if reset else word
+            state[acc_slot] = identity if values[reset_idx] else word
 
         return step
 
     fn = op.lane_fn
     if op.whole_word:
+        if op.name == "hadd" and lane_bits == 16:
+            (ref0,) = operands
+
+            def step(values, state):
+                # each lane biased by +0x8000 is its signed value + 0x8000
+                word = values[ref0] ^ 0x8000_8000_8000_8000
+                values[out_idx] = (
+                    (word & 0xFFFF) + (word >> 16 & 0xFFFF)
+                    + (word >> 32 & 0xFFFF) + (word >> 48 & 0xFFFF)
+                    - 0x2_0000) & WORD_MASK
+
+            return step
 
         def step(values, state):
-            args = [
-                (v if c else values[v]) & WORD_MASK for c, v in operand_spec
-            ]
+            args = [values[ref] & WORD_MASK for ref in operands]
             values[out_idx] = fn(*args, lane_bits) & WORD_MASK
 
         return step
 
-    if len(operand_spec) == 1:
-        (const0, ref0), = operand_spec
+    wrapping = op.name in _WRAPPING_OPS
+    if len(operands) == 1:
+        (ref0,) = operands
+        if lane_bits == 64:
+
+            def step(values, state):
+                a = ((values[ref0] & WORD_MASK) ^ _SIGN64) - _SIGN64
+                values[out_idx] = fn(a) & WORD_MASK
+
+            return step
 
         def step(values, state):
-            word0 = (ref0 if const0 else values[ref0]) & WORD_MASK
+            word0 = values[ref0] & WORD_MASK
             word = 0
             for shift in shifts:
                 a = (((word0 >> shift) & lane_mask) ^ sign) - sign
@@ -88,12 +139,50 @@ def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
 
         return step
 
-    if len(operand_spec) == 2:
-        (const0, ref0), (const1, ref1) = operand_spec
+    if len(operands) == 2:
+        ref0, ref1 = operands
+        if op.name == "add" and lane_bits < 64:
+            low, high = _LANE_MASKS[lane_bits]
+
+            def step(values, state):
+                a = values[ref0]
+                b = values[ref1]
+                values[out_idx] = ((a & low) + (b & low)) ^ ((a ^ b) & high)
+
+            return step
+
+        if lane_bits == 64 and wrapping:
+
+            def step(values, state):
+                values[out_idx] = fn(values[ref0], values[ref1]) & WORD_MASK
+
+            return step
+
+        if lane_bits == 64:
+
+            def step(values, state):
+                a = ((values[ref0] & WORD_MASK) ^ _SIGN64) - _SIGN64
+                b = ((values[ref1] & WORD_MASK) ^ _SIGN64) - _SIGN64
+                values[out_idx] = fn(a, b) & WORD_MASK
+
+            return step
+
+        if lane_bits == 16 and wrapping:
+
+            def step(values, state):
+                a = values[ref0]
+                b = values[ref1]
+                values[out_idx] = (
+                    fn(a & 0xFFFF, b & 0xFFFF) & 0xFFFF
+                    | (fn(a >> 16 & 0xFFFF, b >> 16 & 0xFFFF) & 0xFFFF) << 16
+                    | (fn(a >> 32 & 0xFFFF, b >> 32 & 0xFFFF) & 0xFFFF) << 32
+                    | (fn(a >> 48 & 0xFFFF, b >> 48 & 0xFFFF) & 0xFFFF) << 48)
+
+            return step
 
         def step(values, state):
-            word0 = (ref0 if const0 else values[ref0]) & WORD_MASK
-            word1 = (ref1 if const1 else values[ref1]) & WORD_MASK
+            word0 = values[ref0] & WORD_MASK
+            word1 = values[ref1] & WORD_MASK
             word = 0
             for shift in shifts:
                 a = (((word0 >> shift) & lane_mask) ^ sign) - sign
@@ -104,9 +193,7 @@ def _compile_step(op, lane_bits, operand_spec, out_idx, acc_slot, identity):
         return step
 
     def step(values, state):
-        words = [
-            (v if c else values[v]) & WORD_MASK for c, v in operand_spec
-        ]
+        words = [values[ref] & WORD_MASK for ref in operands]
         word = 0
         for shift in shifts:
             lanes = [
@@ -125,7 +212,9 @@ class CompiledDfg:
     index-addressed value list; :meth:`run` calls them in topological
     order.  Value slots ``0..num_inputs-1`` are the input lanes, port after
     port in ``dfg.inputs`` order, so one instance's input words,
-    concatenated in that order, are the head of the value list.
+    concatenated in that order, are the head of the value list.  Every
+    later slot is an instruction's result or a constant operand, which
+    ``_padding`` holds.
     """
 
     def __init__(self, dfg: Dfg) -> None:
@@ -135,18 +224,23 @@ class CompiledDfg:
             for lane in range(port.width):
                 index[(name, lane)] = len(index)
         self.num_inputs = len(index)
+        #: the initial words of the slots after the inputs
+        padding: List[int] = []
+
+        def new_slot(word: int) -> int:
+            padding.append(word)
+            return self.num_inputs + len(padding) - 1
 
         self.steps: List[Callable[[List[int], List[int]], None]] = []
         self.acc_identity: List[int] = []  # identity word per accumulator slot
         for inst in dfg.topological_order():
-            out_idx = len(index)
-            index[(inst.name, 0)] = out_idx
-            operand_spec: List[Tuple[bool, int]] = []
-            for operand in inst.operands:
-                if isinstance(operand, Constant):
-                    operand_spec.append((True, mask_word(operand.word)))
-                else:
-                    operand_spec.append((False, index[(operand.node, operand.lane)]))
+            operands = tuple(
+                new_slot(mask_word(operand.word))
+                if isinstance(operand, Constant)
+                else index[(operand.node, operand.lane)]
+                for operand in inst.operands
+            )
+            out_idx = index[(inst.name, 0)] = new_slot(0)
             acc_slot = -1
             identity = 0
             if inst.is_accumulator:
@@ -154,11 +248,10 @@ class CompiledDfg:
                 identity = accumulator_identity(inst.op.name, inst.lane_bits)
                 self.acc_identity.append(identity)
             self.steps.append(_compile_step(
-                inst.op, inst.lane_bits, tuple(operand_spec), out_idx,
-                acc_slot, identity,
+                inst.op, inst.lane_bits, operands, out_idx, acc_slot,
+                identity,
             ))
-        self.num_values = len(index)
-        self._padding = [0] * (self.num_values - self.num_inputs)
+        self._padding = padding
 
         #: value slots of each output port's lanes, in ``dfg.outputs`` order
         self.output_slots: List[List[int]] = [
@@ -209,6 +302,9 @@ class CgraExecutor:
             )
             for name, port in dfg.inputs.items()
         ]
+        #: ``(fifo, width)`` per input port, for :meth:`can_fire`
+        self._input_fifos = [(port.fifo, width)
+                             for _, width, port in self.inputs]
         self.outputs: List[Tuple[str, int, VectorPortState]] = [
             (
                 name,
@@ -234,8 +330,8 @@ class CgraExecutor:
     def can_fire(self) -> str:
         """The stall cause (``"input"`` or ``"output"``), or ``""`` when
         an instance can fire this cycle."""
-        for _, width, port in self.inputs:
-            if len(port.fifo) < width:
+        for fifo, width in self._input_fifos:
+            if len(fifo) < width:
                 return "input"
         for _, width, port in self.outputs:
             if port.free_words < width:
@@ -264,9 +360,13 @@ class CgraExecutor:
                         {"cause": "no_input"},
                     ))
             return False
-        words: List[int] = []
-        for _, width, port in self.inputs:
-            words += port.pop_words(width)
+        if len(self.inputs) == 1:
+            _, width, port = self.inputs[0]
+            words = port.pop_words(width)
+        else:
+            words = []
+            for _, width, port in self.inputs:
+                words += port.pop_words(width)
         results = self.compiled.run(words, self.state)
         injector = self.sim.faults
         if injector is not None and cycle >= injector.cgra_at:

@@ -63,7 +63,6 @@ class Dispatcher:
         self.sim = sim
         self.queue: Deque[CommandTrace] = deque()
         self.busy_ports: Dict[Tuple[str, int], int] = {}
-        self.issued_total = 0
         # Scan cache: a full scan that issued nothing is valid until
         # sim.dispatch_version changes (enqueue / port release / stream
         # completion / config apply).  "quiesce" verdicts also depend on
@@ -198,7 +197,6 @@ class Dispatcher:
                      "wait_cycles": cycle - trace.enqueued},
                 ))
             self.sim.issue_to_engine(command, trace)
-            self.issued_total += 1
             self.sim.stats.commands_issued += 1
             return True
         return self._blocked()

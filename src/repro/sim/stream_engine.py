@@ -18,12 +18,13 @@ skeleton, :meth:`StreamEngineBase.tick`, every cycle:
    flight (all-requests-in-flight, Section 4.2);
 4. issue one ready stream: one line request or up to eight words.
 
-Subclasses supply ``_can_issue`` and ``_issue``, and ``_choose`` where
-selection differs (the balance unit); :class:`ScratchEngine` keeps its own
-two-slot issue step.  :meth:`StreamEngineBase.accept` resolves a stream's
-static facts once — the :class:`VectorPortState` of its ``dest``,
-``source`` and ``index`` ports — and starts its pattern iterator or element
-count, so no per-cycle code looks at the command's type.  The dispatcher
+Subclasses supply ``_can_issue`` and ``_issue``.  :class:`MemReadEngine`
+picks its stream in one balance-unit pass over the table, and
+:class:`ScratchEngine` keeps its own two-slot issue step.
+:meth:`StreamEngineBase.accept` resolves a stream's static facts once — the
+:class:`VectorPortState` of its ``dest``, ``source`` and ``index`` ports —
+and starts its pattern iterator or element count, so no per-cycle code
+looks at the command's type.  The dispatcher
 keys it holds were decoded at enqueue (``CommandTrace.ports``).
 
 Write order belongs to the port.  Streams writing one vector port must
@@ -328,20 +329,27 @@ class MemReadEngine(StreamEngineBase):
     def _issue_step(self, cycle: int) -> bool:
         if self.buffered >= self.BUFFER_LINES:
             return False
-        return super()._issue_step(cycle)
-
-    def _choose(self, ready: Sequence[ActiveStream]) -> ActiveStream:
         if not self.sim.params.balance_unit:
-            return super()._choose(ready)
-        return min(ready, key=self._balance_score)
-
-    @staticmethod
-    def _balance_score(stream: ActiveStream) -> int:
-        """Balance unit: fewest queued+in-flight words at the target first."""
-        dest = stream.dest
-        if dest is None:
-            return 0  # scratch/config streams have no port to unbalance
-        return dest.occupancy + dest.reserved
+            return super()._issue_step(cycle)
+        if not self.sim.memory.can_accept(cycle):
+            return False
+        # Balance unit: the ready stream with the fewest words queued at
+        # and reserved for its port issues, the first in table order on a
+        # tie; a scratch or config stream has no port and scores 0.
+        chosen = None
+        best = 0
+        for stream in self.streams:
+            if not self._can_issue(stream):
+                continue
+            dest = stream.dest
+            score = 0 if dest is None else len(dest.fifo) + dest.reserved
+            if chosen is None or score < best:
+                chosen, best = stream, score
+        if chosen is None:
+            return False
+        self._issue(chosen, cycle)
+        self._note_busy(cycle, chosen)
+        return True
 
     def _corrupt(self, cycle: int, words: List[int]) -> List[int]:
         """Apply a due ``mem.corrupt`` fault to words read from memory."""

@@ -22,7 +22,7 @@ class VectorPortState:
     """Runtime FIFO for one hardware vector port.
 
     Words enter via :meth:`push` (after :meth:`reserve`), leave via
-    :meth:`pop_words`.  ``in_flight`` counts reserved-but-unarrived words so
+    :meth:`pop_words`.  ``reserved`` counts reserved-but-unarrived words so
     producers never overrun the FIFO.  ``writers`` holds the active
     streams writing this port in program order (appended when a stream is
     accepted, removed when it retires); only the first may deliver.

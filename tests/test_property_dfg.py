@@ -3,13 +3,16 @@
 Key invariants:
 
 * ``CompiledDfg`` (the simulator's fast executor) is observationally
-  equivalent to ``Dfg.execute`` on random graphs and random inputs.
+  equivalent to ``Dfg.execute`` on random graphs and random inputs, and
+  every op at every lane width agrees on edge words (the kernel
+  exactness table).
 * The affine AGU's line requests partition the element stream exactly —
   every element served once, in order, and every request within one line.
 * Random valid DFGs always schedule with initiation interval 1 and with
   placement/capability/delay invariants intact.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,8 +20,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cgra import broadly_provisioned
 from repro.core.compiler import schedule
-from repro.core.dfg import Dfg, ValueRef
-from repro.core.dfg.instructions import WORD_MASK
+from repro.core.dfg import Constant, Dfg, ValueRef
+from repro.core.dfg.instructions import (
+    ACCUMULATOR_OPS,
+    SUBWORD_WIDTHS,
+    WORD_BITS,
+    WORD_MASK,
+    all_operations,
+    join_lanes,
+)
 from repro.core.isa.patterns import Affine2D, LINE_BYTES, affine_requests
 # The random-DFG pool lives in the fuzz package now (the fuzzer and these
 # property tests share one generator); re-exported here for hypothesis use.
@@ -70,6 +80,115 @@ class TestCompiledEquivalence:
             }
             assert (run_by_name(compiled, inputs, state_c)
                     == dfg.execute(inputs, state_i))
+
+
+def lane_word(lane_bits, value, only=None):
+    """A word with ``value`` in every lane, or in lane ``only`` alone."""
+    lanes = WORD_BITS // lane_bits
+    return join_lanes([value if only in (None, lane) else 0
+                       for lane in range(lanes)], lane_bits)
+
+
+def edge_words(lane_bits):
+    """0, all-ones, and words with every lane, or one lane, at its max,
+    min, -1 or 1.  Their pairs include lane sums that carry into a lane's
+    top bit (max + 1) and out of it across the lane boundary (-1 + 1,
+    min + min)."""
+    top = 1 << (lane_bits - 1)
+    words = {0, WORD_MASK}
+    for value in (top - 1, top, -1, 1):
+        words.add(lane_word(lane_bits, value))
+        for lane in range(WORD_BITS // lane_bits):
+            words.add(lane_word(lane_bits, value, lane))
+    return sorted(words)
+
+
+def _kernel_cases(lane_bits, arity, seed):
+    """Operand tuples: every tuple of edge words (of every third edge
+    word for three operands), then 64 random tuples."""
+    edges = edge_words(lane_bits)
+    if arity == 3:
+        edges = edges[::3]
+    rng = random.Random(seed)
+    yield from itertools.product(edges, repeat=arity)
+    for _ in range(64):
+        yield tuple(rng.randint(0, WORD_MASK) for _ in range(arity))
+
+
+def _mismatch_report(op, lane_bits, mismatches):
+    shown = "\n".join(
+        f"  {label}: operands {' '.join(f'{w:#x}' for w in operands)}: "
+        f"compiled {got:#x}, Dfg.execute {want:#x}"
+        for label, operands, got, want in mismatches[:6])
+    return (f"{op} at {lane_bits}-bit lanes: {len(mismatches)} mismatches"
+            f"\n{shown}")
+
+
+class TestKernelExactness:
+    """Every op in the registry at every lane width: ``CompiledDfg``
+    (whose word-parallel kernels are picked per op, width and arity)
+    equals ``Dfg.execute`` on edge words and random words.  Accumulators
+    run over a firing sequence with resets and compare their state too."""
+
+    @pytest.mark.parametrize("lane_bits", SUBWORD_WIDTHS)
+    @pytest.mark.parametrize(
+        "op", [op for op in all_operations() if op.name not in ACCUMULATOR_OPS],
+        ids=lambda op: op.name)
+    def test_op_matches_interpreter(self, op, lane_bits):
+        variants = [(op.arity, None)]
+        if op.arity > 1:
+            # the last operand a constant, which kernels read from its
+            # own value slot
+            variants.append((op.arity - 1,
+                             lane_word(lane_bits, 1 << (lane_bits - 1))))
+        mismatches = []
+        for ports, constant in variants:
+            names = "ABC"[:ports]
+            dfg = Dfg(f"{op.name}{lane_bits}")
+            for name in names:
+                dfg.add_input(name, 1)
+            operands = [ValueRef(name) for name in names]
+            if constant is not None:
+                operands.append(Constant(constant))
+            dfg.add_instruction("x", op.name, operands, lane_bits)
+            dfg.add_output("O", [ValueRef("x")])
+            compiled = CompiledDfg(dfg)
+            for words in _kernel_cases(lane_bits, ports, op.name):
+                inputs = {name: [word] for name, word in zip(names, words)}
+                (want,) = dfg.execute(inputs)["O"]
+                (got,) = run_by_name(compiled, inputs, [])["O"]
+                if got != want:
+                    shown = words if constant is None else words + (constant,)
+                    label = "ports" if constant is None else "constant"
+                    mismatches.append((label, shown, got, want))
+        assert not mismatches, _mismatch_report(op.name, lane_bits,
+                                                mismatches)
+
+    @pytest.mark.parametrize("lane_bits", SUBWORD_WIDTHS)
+    @pytest.mark.parametrize("op", sorted(ACCUMULATOR_OPS))
+    def test_accumulator_matches_interpreter(self, op, lane_bits):
+        dfg = Dfg(f"{op}{lane_bits}")
+        dfg.add_input("A", 1)
+        dfg.add_input("R", 1)
+        dfg.add_instruction("a", op, [ValueRef("A"), ValueRef("R")],
+                            lane_bits)
+        dfg.add_output("O", [ValueRef("a")])
+        compiled = CompiledDfg(dfg)
+        state_i, state_c = dfg.make_state(), compiled.make_state()
+        rng = random.Random(op)
+        values = edge_words(lane_bits) * 2 + [
+            rng.randint(0, WORD_MASK) for _ in range(64)]
+        mismatches = []
+        for firing, value in enumerate(values):
+            # resets by 1 and by an all-ones word, at uneven intervals
+            reset = (0, 0, 1, 0, 0, 0, WORD_MASK)[firing % 7]
+            inputs = {"A": [value], "R": [reset]}
+            (want,) = dfg.execute(inputs, state_i)["O"]
+            (got,) = run_by_name(compiled, inputs, state_c)["O"]
+            if got != want or state_c != [state_i["a"]]:
+                mismatches.append((f"firing {firing}", (value, reset),
+                                   got, want))
+        assert not mismatches, _mismatch_report(op, lane_bits, mismatches)
 
 
 class TestAffinePartition:

@@ -1,6 +1,6 @@
 """Property tests: the simulator's shortcuts match simple references.
 
-Three properties, over the fuzz layer's random generators and corpus:
+Four properties, over the fuzz layer's random generators and corpus:
 
 * **dispatcher scan cache** — 100 random legal stream programs per seed x
   3 seeds: running each with the production :class:`Dispatcher` and with
@@ -13,6 +13,9 @@ Three properties, over the fuzz layer's random generators and corpus:
   evaluates with :meth:`Dfg.execute` and schedules one ``deliver``
   closure on the event heap and one :meth:`SimStats.note_firing` per
   firing, so ``fu_activity`` is counted per firing rather than folded;
+* **one-pass balance unit** — the same fingerprint over the same
+  programs and the corpus, against a read engine that builds the ready
+  list every cycle and issues ``min(ready, key=score)``;
 * **compiled-DFG closures** — the per-step closures of
   :class:`repro.sim.cgra_exec.CompiledDfg` must agree with the reference
   :meth:`Dfg.execute` on random DFGs and random inputs, including
@@ -29,6 +32,7 @@ from repro.fuzz.generators import random_dfg, random_inputs, random_plan
 from repro.sim import softbrain
 from repro.sim.cgra_exec import CgraExecutor, CompiledDfg
 from repro.sim.dispatcher import Dispatcher
+from repro.sim.stream_engine import MemReadEngine
 
 SEEDS = (0, 1, 2)
 PLANS_PER_SEED = 100
@@ -90,6 +94,29 @@ class ReferenceCgraExecutor(CgraExecutor):
         pass  # note_firing counted every firing already
 
 
+class ReferenceBalanceReadEngine(MemReadEngine):
+    """Reference: the balance unit as a ready list over the whole stream
+    table, rebuilt every cycle, and ``min(ready, key=score)``, where the
+    score is the words queued at and reserved for the stream's port (0
+    for a stream without one)."""
+
+    def _issue_step(self, cycle: int) -> bool:
+        if not self.sim.params.balance_unit:
+            return super()._issue_step(cycle)
+        if self.buffered >= self.BUFFER_LINES:
+            return False
+        if not self.sim.memory.can_accept(cycle):
+            return False
+        ready = [s for s in self.streams if self._can_issue(s)]
+        if not ready:
+            return False
+        chosen = min(ready, key=lambda stream: 0 if stream.dest is None
+                     else stream.dest.occupancy + stream.dest.reserved)
+        self._issue(chosen, cycle)
+        self._note_busy(cycle, chosen)
+        return True
+
+
 def _fingerprint(built):
     result = softbrain.run_program(
         built.program, fabric=built.fabric, memory=built.fresh_memory(),
@@ -136,6 +163,19 @@ def test_random_plans_cgra_delivery_exact(seed, monkeypatch):
 def test_corpus_cgra_delivery_exact(path, monkeypatch):
     _assert_matches_reference(plan_from_json(path.read_text()), monkeypatch,
                               "CgraExecutor", ReferenceCgraExecutor)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_plans_balance_unit_exact(seed, monkeypatch):
+    for plan in _random_plans(seed):
+        _assert_matches_reference(plan, monkeypatch, "MemReadEngine",
+                                  ReferenceBalanceReadEngine)
+
+
+@pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.stem)
+def test_corpus_balance_unit_exact(path, monkeypatch):
+    _assert_matches_reference(plan_from_json(path.read_text()), monkeypatch,
+                              "MemReadEngine", ReferenceBalanceReadEngine)
 
 
 @pytest.mark.parametrize("seed", range(40))

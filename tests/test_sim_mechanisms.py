@@ -82,45 +82,6 @@ class TestIndirectCoalescing:
         assert seq.memory.stats.reads < scattered.memory.stats.reads
 
 
-class TestBalanceUnit:
-    def test_unbalanced_ports_both_served(self):
-        # Two input streams of very different shapes must both complete:
-        # one strided (slow, many lines), one linear (fast).
-        fabric = dnn_provisioned()
-        dfg = parse_dfg(
-            "input A\ninput B\nx = add A B\noutput O x", "adder"
-        )
-        config = schedule(dfg, fabric)
-        memory = MemorySystem()
-        n = 32
-        write_words(memory, 0, list(range(4096)))
-        program = StreamProgram("bal", config)
-        program.mem_port(0, n * 8, n * 8, 1, "A")  # linear
-        program.mem_port(0, 512, 8, n, "B")  # strided: line per element
-        program.port_mem("O", n * 8, n * 8, 1, 0x10000)
-        program.barrier_all()
-        result = run_program(program, fabric=fabric, memory=memory)
-        assert result.stats.instances_fired == n
-
-    def test_ablation_flags_accepted(self):
-        fabric = dnn_provisioned()
-        memory = MemorySystem()
-        write_words(memory, 0, [5])
-        program = StreamProgram("flags", passthrough(fabric))
-        program.mem_port(0, 8, 8, 1, "A")
-        program.port_mem("O", 8, 8, 1, 0x100)
-        program.barrier_all()
-        result = run_program(
-            program,
-            fabric=fabric,
-            memory=memory,
-            params=SoftbrainParams(
-                balance_unit=False, all_requests_in_flight=False
-            ),
-        )
-        assert read_words(memory, 0x100, 1) == [5]
-
-
 class TestAllRequestsInFlight:
     def _back_to_back(self, enabled):
         fabric = dnn_provisioned()
@@ -253,19 +214,22 @@ def cycle_test(case):
 class CycleTableTest:
     """Check a per-cycle table of named rules against a traced run.
 
-    ``ports`` names the DFG ports to watch.  ``anchors`` maps a letter to
-    a function of the trace events giving a cycle; table rows are
-    ``(rule, cycles, cgra, *port_states)``, where ``cycles`` is ``"a+3"``
-    or a range ``"a+6..t-1"`` over anchors.  ``cgra`` is the CGRA's action
-    in the cycle (``fire``, ``stall:<cause>``, or ``-`` for none, as in a
-    cycle the run fast-forwards over), and each port state is
-    ``occupancy+reserved`` at the end of the cycle.  Every mismatch is
-    collected, and the test fails once, naming the rule, the signal and
-    the cycle of each.
+    ``ports`` names the DFG ports to watch, and ``engines`` the stream
+    engines whose issues to watch.  ``anchors`` maps a letter to a
+    function of the trace events giving a cycle; table rows are
+    ``(rule, cycles, cgra, *issues, *port_states)``, where ``cycles`` is
+    ``"a+3"`` or a range ``"a+6..t-1"`` over anchors.  ``cgra`` is the
+    CGRA's action in the cycle (``fire``, ``stall:<cause>``, or ``-`` for
+    none, as in a cycle the run fast-forwards over).  Each issue is the
+    stream the engine issued in the cycle, named by the DFG port it
+    writes (its command label if it writes none), or ``-``.  Each port
+    state is ``occupancy+reserved`` at the end of the cycle.  Every
+    mismatch is collected, and the test fails once, naming the rule, the
+    signal and the cycle of each.
     """
 
     def do_cycle_test(self, name, program, fabric, memory, ports, anchors,
-                      table):
+                      table, engines=()):
         sink = ListSink()
         failures = []
         try:
@@ -280,11 +244,20 @@ class CycleTableTest:
             port: (f"in{config.hw_input_port(port)}"
                    if port in config.dfg.inputs
                    else f"out{config.hw_output_port(port)}")
-            for port in ports
+            for port in [*config.dfg.inputs, *config.dfg.outputs]
         }
+        port_names = {hw: port for port, hw in hw_names.items()}
+        commands = program.commands
         cgra, samples = {}, {}
+        issues = {engine: {} for engine in engines}
         for event in events:
-            if event.kind == "cgra.fire":
+            if event.kind == "stream.issue" and event.component in issues:
+                command = commands[event.data["index"]]
+                dest = getattr(command, "dest", None)
+                issues[event.component][event.cycle] = (
+                    event.data["command"] if dest is None
+                    else port_names.get(str(dest), str(dest)))
+            elif event.kind == "cgra.fire":
                 cgra[event.cycle] = "fire"
             elif event.kind == "cgra.stall":
                 cgra[event.cycle] = f"stall:{event.data['cause']}"
@@ -303,7 +276,9 @@ class CycleTableTest:
             known = [c for c in seen if c <= cycle]
             return seen[max(known)] if known else "0+0"
 
-        for rule, cycles, want_cgra, *want_ports in table:
+        for rule, cycles, want_cgra, *wants in table:
+            want_issues = wants[:len(engines)]
+            want_ports = wants[len(engines):]
             first, _, last = cycles.partition("..")
             for cycle in range(at(first), at(last or first) + 1):
                 where = f"cycle {cycle} ({cycles})"
@@ -311,6 +286,11 @@ class CycleTableTest:
                 if got != want_cgra:
                     failures.append(f"{rule}: chk cgra on {where}: "
                                     f"got {got!r}, want {want_cgra!r}")
+                for engine, want in zip(engines, want_issues):
+                    got = issues[engine].get(cycle, "-")
+                    if got != want:
+                        failures.append(f"{rule}: chk {engine} issue on "
+                                        f"{where}: got {got!r}, want {want!r}")
                 for port, want in zip(ports, want_ports):
                     got = port_state(port, cycle)
                     if got != want:
@@ -326,6 +306,114 @@ def _first(kind, **data):
         return next(e.cycle for e in events if e.kind == kind
                     and all(e.data.get(k) == v for k, v in data.items()))
     return find
+
+
+class TestBalanceUnit(CycleTableTest):
+    """Section 4.5: the read engine's balance unit issues, each cycle, the
+    ready stream whose port holds the fewest queued and reserved words,
+    and the first in table (accept) order on a tie."""
+
+    def test_unbalanced_ports_both_served(self):
+        # Two input streams of very different shapes must both complete:
+        # one strided (slow, many lines), one linear (fast).
+        fabric = dnn_provisioned()
+        dfg = parse_dfg(
+            "input A\ninput B\nx = add A B\noutput O x", "adder"
+        )
+        config = schedule(dfg, fabric)
+        memory = MemorySystem()
+        n = 32
+        write_words(memory, 0, list(range(4096)))
+        program = StreamProgram("bal", config)
+        program.mem_port(0, n * 8, n * 8, 1, "A")  # linear
+        program.mem_port(0, 512, 8, n, "B")  # strided: line per element
+        program.port_mem("O", n * 8, n * 8, 1, 0x10000)
+        program.barrier_all()
+        result = run_program(program, fabric=fabric, memory=memory)
+        assert result.stats.instances_fired == n
+
+    def test_ablation_flags_accepted(self):
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0, [5])
+        program = StreamProgram("flags", passthrough(fabric))
+        program.mem_port(0, 8, 8, 1, "A")
+        program.port_mem("O", 8, 8, 1, 0x100)
+        program.barrier_all()
+        result = run_program(
+            program,
+            fabric=fabric,
+            memory=memory,
+            params=SoftbrainParams(
+                balance_unit=False, all_requests_in_flight=False
+            ),
+        )
+        assert read_words(memory, 0x100, 1) == [5]
+
+    @staticmethod
+    def _two_read_streams(fill_a, fill_b, requests_a, requests_b):
+        """Constants first fill ports A and B with ``fill_a`` and
+        ``fill_b`` words; after a barrier a read stream into A, then one
+        into B, dispatch, each one word per line request.  Port C stays
+        empty until both finish, so the CGRA cannot drain A or B."""
+        fabric = dnn_provisioned()
+        config = schedule(parse_dfg(
+            "input A\ninput B\ninput C\nx = add A B\ny = add x C\n"
+            "output O y", "gated-add"), fabric)
+        memory = MemorySystem()
+        write_words(memory, 0x1000, list(range(128)))
+        memory.warm(0x1000, 1024)
+        program = StreamProgram("balance", config)
+        if fill_a:
+            program.const_port(1, fill_a, "A")
+        if fill_b:
+            program.const_port(2, fill_b, "B")
+        program.barrier_all()
+        program.mem_port(0x1000, 64, 8, requests_a, "A")
+        program.mem_port(0x1000, 64, 8, requests_b, "B")
+        program.barrier_all()
+        instances = fill_a + requests_a
+        program.const_port(3, instances, "C")
+        program.port_mem("O", instances * 8, instances * 8, 1, 0x8000)
+        program.barrier_all()
+        anchors = {"d": _first("stream.issue", command="SD_MemPort")}
+        return program, fabric, memory, ("A", "B"), anchors
+
+    @cycle_test
+    def test_least_filled_port_issues_first(self):
+        # A's stream is first in the table, yet B's port holds fewer
+        # words, so B's stream issues from the cycle it is accepted.
+        # Read data is not reserved at its port: B's score stays 0 until
+        # its first line lands at d+14.
+        *run, anchors = self._two_read_streams(8, 0, 4, 12)
+        alone, least = "only ready stream", "least-filled port first"
+        stall = "stall:no_input"
+        table = [
+            # rule   cycles        cgra   mse_read  A        B
+            (alone,  "d+0..d+1",   stall, "A",      "8+0",   "0+0"),
+            (least,  "d+2..d+11",  stall, "B",      "8+0",   "0+0"),
+            (least,  "d+12",       stall, "B",      "9+0",   "0+0"),
+            (least,  "d+13",       stall, "B",      "10+0",  "0+0"),
+            (alone,  "d+14",       stall, "A",      "10+0",  "1+0"),
+            (alone,  "d+15",       stall, "A",      "10+0",  "2+0"),
+            (alone,  "d+16",       stall, "-",      "10+0",  "3+0"),
+        ]
+        return (*run, anchors, table, ("mse_read",))
+
+    @cycle_test
+    def test_tie_goes_to_first_in_table(self):
+        # Both ports hold 4 words when B's stream is accepted, and no
+        # read lands before A's stream has issued all four requests.
+        *run, anchors = self._two_read_streams(4, 4, 4, 4)
+        alone, tie = "only ready stream", "tie: first in table"
+        stall = "stall:no_input"
+        table = [
+            # rule   cycles       cgra   mse_read  A       B
+            (alone,  "d+0..d+1",  stall, "A",      "4+0",  "4+0"),
+            (tie,    "d+2..d+3",  stall, "A",      "4+0",  "4+0"),
+            (alone,  "d+4..d+7",  stall, "B",      "4+0",  "4+0"),
+        ]
+        return (*run, anchors, table, ("mse_read",))
 
 
 class TestCgraFiringRule(CycleTableTest):
