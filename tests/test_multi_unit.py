@@ -1,11 +1,15 @@
 """Tests for the multi-unit simulator and its bandwidth-sharing behaviour."""
 
+import json
+
 import pytest
 
 from repro.cgra import dnn_provisioned
 from repro.sim import MemoryParams, MemorySystem, run_multi_unit, run_program
 from repro.workloads.dnn import build_classifier
 from repro.workloads.dnn.layers import ClassifierLayer
+
+from .test_golden_stats import GOLDEN_DIR, dump_golden, fingerprint
 
 
 def build_units(layer, units):
@@ -29,6 +33,24 @@ class TestMultiUnit:
             built.verify(memory)
         assert len(result.unit_results) == 4
         assert result.total_instances == 16 * (128 // 16)
+
+    def test_four_unit_golden(self, update_golden):
+        # Locks the lock-step loop for N units: each unit's fingerprint
+        # plus the device cycle count, one golden file per unit.
+        layer = ClassifierLayer("mu", ni=128, nn=16)
+        builts, memory = build_units(layer, 4)
+        result = run_multi_unit(
+            [b.program for b in builts], dnn_provisioned, memory=memory
+        )
+        for index, unit in enumerate(result.unit_results):
+            got = dict(fingerprint(unit), device_cycles=result.cycles)
+            path = GOLDEN_DIR / f"multi-unit-mu-u{index}.json"
+            if update_golden:
+                path.write_text(dump_golden(got))
+                continue
+            assert got == json.loads(path.read_text()), (
+                f"unit {index} drifted from {path.name}; re-bless an "
+                f"intended timing change with --update-golden")
 
     def test_device_cycles_is_slowest_unit(self):
         layer = ClassifierLayer("mu2", ni=64, nn=8)
