@@ -27,7 +27,6 @@ from .report import (
     ResiliencePolicy,
     ResilientOutcome,
     build_failure_report,
-    build_multi_unit_report,
     run_resilient,
     snapshot_components,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ResilientOutcome",
     "WaitGraph",
     "build_failure_report",
-    "build_multi_unit_report",
     "build_wait_graph",
     "run_campaign",
     "run_resilient",

@@ -1,14 +1,17 @@
 """Structured failure reports: the JSON crash dump of a dead simulation.
 
 Every :class:`~repro.sim.errors.SimError` that escapes
-:meth:`SoftbrainSim.run` (or the multi-unit loop) is annotated with a
-:class:`FailureReport` on ``exc.report``: the failing cycle, the hang
-watchdog's wait-for graph with root-cause chains, a per-component state
-snapshot, the last-N trace events (when the run was traced through a sink
-with a ``tail_events`` method, e.g. :class:`repro.trace.RingSink`), and
-the record of injected faults.  Reports are deterministic — no wall-clock
-timestamps, sorted JSON keys — so the same seed reproduces a byte-identical
-dump, which the fault campaign asserts.
+:meth:`SoftbrainSim.run` or :func:`~repro.sim.multi_unit.run_multi_unit`
+is annotated with a :class:`FailureReport` on ``exc.report``: the failing
+cycle, the hang watchdog's wait-for graph with root-cause chains, a
+per-component state snapshot, the last-N trace events (when the run was
+traced through a sink with a ``tail_events`` method, e.g.
+:class:`repro.trace.RingSink`), and the record of injected faults.  One
+builder, :func:`build_failure_report`, covers one unit or the stuck units
+of a multi-unit run; only a run of more than one unit tags the entries
+with their unit.  Reports are deterministic — no wall-clock timestamps,
+sorted JSON keys — so the same seed reproduces a byte-identical dump,
+which the fault campaign asserts.
 
 :class:`ResiliencePolicy` / :func:`run_resilient` implement the degradation
 policy around a failing run: ``abort`` (re-raise, default), ``retry``
@@ -168,24 +171,14 @@ def _trace_tail(sim) -> List[Dict[str, Any]]:
     return [event.to_json_dict() for event in tail()]
 
 
-def build_failure_report(sim, exc) -> FailureReport:
-    """Crash dump for one failing unit (called from ``SoftbrainSim._fail``)."""
-    graph = build_wait_graph(sim)
-    return FailureReport(
-        kind=getattr(exc, "kind", "error"),
-        program=sim.program.name,
-        cycle=exc.cycle if exc.cycle is not None else sim.cycle,
-        message=str(exc.args[0]) if exc.args else type(exc).__name__,
-        chains=graph.chains(),
-        wait_graph=graph.to_dict(),
-        components=snapshot_components(sim),
-        trace_tail=_trace_tail(sim),
-        faults=list(sim.faults.fired) if sim.faults is not None else [],
-    )
+def build_failure_report(sims, exc, tagged: bool) -> FailureReport:
+    """Crash dump over the failing units (called from the simulator's
+    ``_fail`` once ``exc`` carries its program name and cycle).
 
-
-def build_multi_unit_report(sims, exc) -> FailureReport:
-    """Aggregated crash dump across the stuck units of a multi-unit run."""
+    With ``tagged`` (a run of more than one unit) each entry names its
+    unit: ``u<i>:`` node ids, ``[unit i]`` chain prefixes, ``unit<i>``
+    component keys and a ``unit`` field on each fired fault.
+    """
     chains: List[str] = []
     nodes: Dict[str, Any] = {}
     edges: List[Dict[str, str]] = []
@@ -193,26 +186,27 @@ def build_multi_unit_report(sims, exc) -> FailureReport:
     faults: List[Dict[str, Any]] = []
     tail: List[Dict[str, Any]] = []
     for sim in sims:
-        prefix = f"u{sim.unit}"
         graph = build_wait_graph(sim)
-        chains.extend(f"[unit {sim.unit}] {c}" for c in graph.chains())
-        graph_dict = graph.to_dict()
-        for nid, info in graph_dict["nodes"].items():
-            nodes[f"{prefix}:{nid}"] = info
-        edges.extend(
-            {"src": f"{prefix}:{e['src']}", "dst": f"{prefix}:{e['dst']}",
-             "reason": e["reason"]}
-            for e in graph_dict["edges"]
-        )
-        components[f"unit{sim.unit}"] = snapshot_components(sim)
+        node = f"u{sim.unit}:" if tagged else ""
+        chain = f"[unit {sim.unit}] " if tagged else ""
+        chains.extend(chain + c for c in graph.chains())
+        for nid, info in graph.nodes.items():
+            nodes[node + nid] = dict(info)
+        edges.extend({"src": node + src, "dst": node + dst, "reason": reason}
+                     for src, dst, reason in graph.edges)
+        snapshot = snapshot_components(sim)
+        if tagged:
+            components[f"unit{sim.unit}"] = snapshot
+        else:
+            components.update(snapshot)
         if sim.faults is not None:
-            faults.extend(dict(f, unit=sim.unit) for f in sim.faults.fired)
-        if not tail:
-            tail = _trace_tail(sim)  # units usually share one sink
+            faults.extend(dict(f, unit=sim.unit) if tagged else f
+                          for f in sim.faults.fired)
+        tail = tail or _trace_tail(sim)  # units usually share one sink
     return FailureReport(
         kind=getattr(exc, "kind", "error"),
-        program=exc.program_name or "multi-unit",
-        cycle=exc.cycle if exc.cycle is not None else 0,
+        program=exc.program_name,
+        cycle=exc.cycle,
         message=str(exc.args[0]) if exc.args else type(exc).__name__,
         chains=chains,
         wait_graph={"nodes": nodes, "edges": edges},

@@ -7,6 +7,11 @@ the shared interface accepts one request per cycle *in total* and the
 shared DRAM bandwidth is arbitrated naturally by the per-cycle accept
 limit — contention is simulated, not modelled.
 
+The units run in the same cycle loop as a single unit,
+:func:`~repro.sim.softbrain.run_lockstep`, and fail through the same
+crash-dump path; with more than one unit, the dump tags each stuck unit's
+entries with its index (``docs/RESILIENCE.md``).
+
 This is the high-fidelity alternative to the single-unit + scaled-bandwidth
 approximation used by the DNN harness (a test cross-validates the two).
 """
@@ -18,9 +23,8 @@ from typing import List, Optional
 
 from ..core.isa.program import StreamProgram
 from ..trace import TraceSink
-from .errors import SimError, SimulationDeadlock, SimulationLimit
 from .memory import MemorySystem
-from .softbrain import RunResult, SoftbrainParams, SoftbrainSim
+from .softbrain import RunResult, SoftbrainParams, SoftbrainSim, run_lockstep
 
 
 @dataclass
@@ -68,70 +72,9 @@ def run_multi_unit(
                      params=params, trace=trace, unit_id=index)
         for index, program in enumerate(programs)
     ]
-    finish_cycle = [0] * len(sims)
-    done = [False] * len(sims)
-
-    cycle = 0
-    while not all(done):
-        progress = False
-        for index, sim in enumerate(sims):
-            if done[index]:
-                continue
-            try:
-                if sim.step(cycle):
-                    progress = True
-            except SimError as exc:
-                raise sim._fail(exc) from None
-            if sim.finished():
-                done[index] = True
-                finish_cycle[index] = cycle
-        if all(done):
-            break
-        if not progress:
-            next_events = [
-                sim.next_event_cycle()
-                for index, sim in enumerate(sims)
-                if not done[index] and sim.next_event_cycle() is not None
-            ]
-            if next_events:
-                cycle = max(cycle + 1, min(next_events))
-                continue
-            stuck = [s for i, s in enumerate(sims) if not done[i]]
-            raise _fail_multi(
-                stuck,
-                SimulationDeadlock(
-                    f"multi-unit deadlock at cycle {cycle}: "
-                    f"{len(stuck)} of {len(sims)} units stuck"
-                ),
-                cycle,
-            ) from None
-        cycle += 1
-        if cycle > params.max_cycles:
-            stuck = [s for i, s in enumerate(sims) if not done[i]]
-            raise _fail_multi(
-                stuck,
-                SimulationLimit(
-                    f"multi-unit run exceeded {params.max_cycles} cycles"
-                ),
-                cycle,
-            ) from None
-
-    results = [
-        sim.finalize(finish_cycle[index]) for index, sim in enumerate(sims)
-    ]
-    return MultiUnitResult(results, max(finish_cycle), memory)
-
-
-def _fail_multi(stuck: List[SoftbrainSim], exc: SimError,
-                cycle: int) -> SimError:
-    """Attach an aggregated crash dump covering every stuck unit."""
-    from ..resilience.report import build_multi_unit_report
-
-    exc.cycle = cycle
-    exc.program_name = "+".join(sim.program.name for sim in stuck)
-    for sim in stuck:
-        sim.cycle = cycle
-    exc.report = build_multi_unit_report(stuck, exc)
-    message = exc.args[0] if exc.args else type(exc).__name__
-    exc.args = (f"{message}\n{exc.report.render()}",)
-    return exc
+    try:
+        results = run_lockstep(sims)
+    finally:
+        for sim in sims:
+            sim.release()
+    return MultiUnitResult(results, max(r.cycles for r in results), memory)

@@ -7,14 +7,15 @@ hierarchy.  :func:`run_program` is the main entry point::
     result = run_program(program, fabric=dnn_provisioned())
     print(result.stats.cycles)
 
-The main loop is cycle-stepped with event-driven fast-forward: when no
-component can make progress in a cycle, the clock jumps to the next pending
-event (a memory completion on the event heap, or the next CGRA pipeline
-exit at the head of its in-order ``deliveries`` queue).  A cycle with no
-progress *and* no pending events is a deadlock and raises
-:class:`SimulationDeadlock` — the situation the paper's balance unit and
-buffering rules exist to prevent.  Every :class:`~repro.sim.errors.SimError`
-escaping :meth:`SoftbrainSim.run` carries a structured
+The main loop, :func:`run_lockstep`, runs one unit or N units sharing one
+memory interface (:mod:`repro.sim.multi_unit`).  It is cycle-stepped with
+event-driven fast-forward: when no component can make progress in a cycle,
+the clock jumps to the next pending event (a memory completion on the event
+heap, or the next CGRA pipeline exit at the head of its in-order
+``deliveries`` queue).  A cycle with no progress *and* no pending events is
+a deadlock and raises :class:`SimulationDeadlock` — the situation the
+paper's balance unit and buffering rules exist to prevent.  Every
+:class:`~repro.sim.errors.SimError` escaping the loop carries a structured
 :class:`repro.resilience.FailureReport` (wait-for graph with root-cause
 chains, per-component snapshots, trace tail) on ``exc.report``; see
 ``docs/RESILIENCE.md``.
@@ -327,34 +328,7 @@ class SoftbrainSim:
         return RunResult(self.stats, self.timeline, self.memory, self.scratchpad)
 
     def run(self) -> RunResult:
-        try:
-            return self._run_loop()
-        except SimError as exc:
-            raise self._fail(exc) from None
-
-    def _run_loop(self) -> RunResult:
-        cycle = 0
-        while True:
-            progress = self.step(cycle)
-            if self.finished():
-                break
-            if not progress:
-                next_event = self.next_event_cycle()
-                if next_event is None:
-                    raise SimulationDeadlock(
-                        f"deadlock at cycle {cycle} in program "
-                        f"{self.program.name!r}"
-                    )
-                cycle = max(cycle + 1, next_event)
-            else:
-                cycle += 1
-            if cycle > self.params.max_cycles:
-                self.cycle = cycle
-                raise SimulationLimit(
-                    f"exceeded {self.params.max_cycles} cycles in "
-                    f"{self.program.name!r}"
-                )
-        return self.finalize(cycle)
+        return run_lockstep([self])[0]
 
     def release(self) -> None:
         """Drop the components, each of which points back at this sim.
@@ -368,25 +342,93 @@ class SoftbrainSim:
         self.dispatcher = self.core = self.cgra = None
         self._events = []
 
-    def _fail(self, exc: SimError) -> SimError:
-        """Annotate an escaping failure with context and a crash dump.
 
-        Imported lazily so a run that does not fail never pays
-        for the diagnostics machinery.
-        """
-        from ..resilience.report import build_failure_report
+def run_lockstep(sims: List[SoftbrainSim]) -> List[RunResult]:
+    """Run ``sims`` in lock-step until every one has finished.
 
-        if exc.program_name is None:
-            exc.program_name = self.program.name
-        if exc.cycle is None:
-            exc.cycle = self.cycle
-        if self.cgra is not None:
-            self.cgra.fold_activity()
-        if exc.report is None:
-            exc.report = build_failure_report(self, exc)
-            message = exc.args[0] if exc.args else type(exc).__name__
-            exc.args = (f"{message}\n{exc.report.render()}",)
-        return exc
+    The one cycle loop: :func:`run_program` passes one unit and
+    :func:`~repro.sim.multi_unit.run_multi_unit` passes N units on one
+    shared :class:`MemorySystem`.  Each cycle steps every live unit once;
+    a unit that has finished is finalised at that cycle and steps no
+    more.  A cycle in which no unit progresses fast-forwards to the
+    earliest pending event of any live unit; with none pending, the live
+    units are deadlocked.  No unit steps at a cycle above
+    ``params.max_cycles``.  Results come back in the order of ``sims``.
+    """
+    max_cycles = sims[0].params.max_cycles
+    results: Dict[SoftbrainSim, RunResult] = {}
+    live = sims
+    cycle = 0
+    while True:
+        progress = finished = False
+        for sim in live:
+            try:
+                if sim.step(cycle):
+                    progress = True
+            except SimError as exc:
+                raise _fail([sim], exc) from None
+            if sim.finished():
+                results[sim] = sim.finalize(cycle)
+                finished = True
+        if finished:
+            live = [sim for sim in live if sim not in results]
+            if not live:
+                return [results[sim] for sim in sims]
+        if progress:
+            cycle += 1
+        else:
+            wake = None
+            for sim in live:
+                ready = sim.next_event_cycle()
+                if ready is not None and (wake is None or ready < wake):
+                    wake = ready
+            if wake is None:
+                raise _stuck(sims, live, cycle, deadlock=True)
+            cycle = max(cycle + 1, wake)
+        if cycle > max_cycles:
+            raise _stuck(sims, live, cycle, deadlock=False)
+
+
+def _stuck(sims: List[SoftbrainSim], live: List[SoftbrainSim], cycle: int,
+           deadlock: bool) -> SimError:
+    """The deadlock or cycle-limit failure of the ``live`` units."""
+    limit = sims[0].params.max_cycles
+    if len(sims) == 1:
+        name = sims[0].program.name
+        message = (f"deadlock at cycle {cycle} in program {name!r}"
+                   if deadlock else f"exceeded {limit} cycles in {name!r}")
+    else:
+        message = (f"multi-unit deadlock at cycle {cycle}: "
+                   f"{len(live)} of {len(sims)} units stuck"
+                   if deadlock else f"multi-unit run exceeded {limit} cycles")
+    exc = SimulationDeadlock(message) if deadlock else SimulationLimit(message)
+    for sim in live:
+        sim.cycle = cycle
+    return _fail(live, exc, tagged=len(sims) > 1)
+
+
+def _fail(units: List[SoftbrainSim], exc: SimError,
+          tagged: bool = False) -> SimError:
+    """Annotate an escaping failure of ``units`` with context and a crash
+    dump; ``tagged`` marks every entry with its unit (multi-unit runs).
+
+    The report builder is imported lazily, so a run that does not fail
+    never pays for the diagnostics machinery.
+    """
+    from ..resilience.report import build_failure_report
+
+    if exc.program_name is None:
+        exc.program_name = "+".join(sim.program.name for sim in units)
+    if exc.cycle is None:
+        exc.cycle = units[0].cycle
+    for sim in units:
+        if sim.cgra is not None:
+            sim.cgra.fold_activity()
+    if exc.report is None:
+        exc.report = build_failure_report(units, exc, tagged)
+        message = exc.args[0] if exc.args else type(exc).__name__
+        exc.args = (f"{message}\n{exc.report.render()}",)
+    return exc
 
 
 def run_program(

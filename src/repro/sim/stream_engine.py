@@ -49,7 +49,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.isa.commands import Command
-from ..core.isa.patterns import LINE_BYTES, LineRequest, affine_requests
+from ..core.isa.patterns import (
+    LINE_BYTES,
+    LineRequest,
+    affine_requests,
+    coalesce_indirect,
+)
 from ..trace import TraceEvent
 from .errors import StreamTableError
 from .stats import CommandTrace
@@ -297,24 +302,6 @@ class StreamEngineBase:
         self.buffered += 1
 
 
-def _coalesce(command: Command, indices: Deque[int],
-              limit: int) -> Tuple[List[int], int]:
-    """Indirect AGU: the addresses of up to ``limit`` leading indices that
-    increase within one cache line, and that line."""
-    addrs: List[int] = []
-    line = -1
-    for i in range(limit):
-        addr = command.offset_addr + indices[i] * command.index_scale
-        addr_line = (addr // LINE_BYTES) * LINE_BYTES
-        if not addrs:
-            line = addr_line
-        elif addr_line != line or addr < addrs[-1]:
-            break
-        addrs.append(addr)
-    assert addrs
-    return addrs, line
-
-
 # ---------------------------------------------------------------------------
 # Memory read engine (+ balance unit, config loads, indirect gather)
 # ---------------------------------------------------------------------------
@@ -393,8 +380,8 @@ class MemReadEngine(StreamEngineBase):
             stream.advance_request()
         elif stream.index is not None:  # SD_IndPort_Port
             index_port = stream.index
-            addrs, line = _coalesce(
-                command, index_port.fifo,
+            addrs, line = coalesce_indirect(
+                index_port.fifo, command.offset_addr, command.index_scale,
                 min(4, index_port.occupancy, stream.elements_left))
             index_port.pop_words(len(addrs))
             ready = memory.issue(
@@ -446,8 +433,8 @@ class MemWriteEngine(StreamEngineBase):
             stream.advance_request()
         else:  # SD_IndPort_Mem: coalesce like the indirect AGU
             index_port = stream.index
-            addrs, line = _coalesce(
-                command, index_port.fifo,
+            addrs, line = coalesce_indirect(
+                index_port.fifo, command.offset_addr, command.index_scale,
                 min(4, index_port.occupancy, source.occupancy,
                     stream.elements_left))
             take = len(addrs)
