@@ -10,12 +10,14 @@ overlapped, and ``stride == 0`` repeating.
 Address generation units (Section 4.3) turn a pattern into the minimal
 sequence of 64-byte-aligned line requests; :func:`line_requests` implements
 that coalescing and is shared by the memory and scratchpad stream engines.
+:func:`coalesce_indirect` is the indirect AGU the memory engines use for
+gathers and scatters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 #: memory interface width — one request covers one 64-byte line
 LINE_BYTES = 64
@@ -159,27 +161,21 @@ def affine_requests(pattern: Affine2D) -> Iterator[LineRequest]:
     return line_requests(pattern.element_addresses(), pattern.elem_bytes)
 
 
-def indirect_requests(
-    element_addrs: List[int],
-    elem_bytes: int,
-    max_coalesce: int = 4,
-) -> Iterator[LineRequest]:
-    """The indirect AGU: coalesce up to ``max_coalesce`` *increasing*
-    addresses that share a 64-byte line (Section 4.3)."""
-    i = 0
-    n = len(element_addrs)
-    while i < n:
-        addr = element_addrs[i]
-        line = (addr // LINE_BYTES) * LINE_BYTES
-        batch = [addr]
-        j = i + 1
-        while (
-            j < n
-            and len(batch) < max_coalesce
-            and element_addrs[j] >= batch[-1]
-            and (element_addrs[j] // LINE_BYTES) * LINE_BYTES == line
-        ):
-            batch.append(element_addrs[j])
-            j += 1
-        yield LineRequest(line, tuple(batch), elem_bytes)
-        i = j
+def coalesce_indirect(indices: Sequence[int], offset_addr: int,
+                      index_scale: int, limit: int) -> Tuple[List[int], int]:
+    """The indirect AGU (Section 4.3): the addresses
+    ``offset_addr + index * index_scale`` of up to ``limit`` leading
+    ``indices`` that do not decrease and share one 64-byte line, and that
+    line.  The stream engines pass a ``limit`` of 1 to 4."""
+    addrs: List[int] = []
+    line = -1
+    for i in range(limit):
+        addr = offset_addr + indices[i] * index_scale
+        addr_line = (addr // LINE_BYTES) * LINE_BYTES
+        if not addrs:
+            line = addr_line
+        elif addr_line != line or addr < addrs[-1]:
+            break
+        addrs.append(addr)
+    assert addrs
+    return addrs, line

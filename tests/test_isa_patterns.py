@@ -1,5 +1,7 @@
 """Unit tests for affine/indirect access patterns and AGU coalescing."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.isa.patterns import (
@@ -7,7 +9,7 @@ from repro.core.isa.patterns import (
     LINE_BYTES,
     PatternError,
     affine_requests,
-    indirect_requests,
+    coalesce_indirect,
     line_requests,
 )
 
@@ -117,29 +119,35 @@ class TestLineRequests:
         assert sum(r.num_elements for r in requests) == 100
 
 
-class TestIndirectRequests:
-    def test_coalesces_up_to_four_in_line(self):
-        requests = list(indirect_requests([0, 8, 16, 24, 32], 8))
-        assert [r.num_elements for r in requests] == [4, 1]
+def indirect_batches(addrs):
+    """Drive the indirect AGU over ``addrs`` as the engines do: one
+    request of up to four elements per call."""
+    indices = deque(addrs)
+    batches = []
+    while indices:
+        batch, line = coalesce_indirect(indices, 0, 1, min(4, len(indices)))
+        assert line == batch[0] // LINE_BYTES * LINE_BYTES
+        batches.append(batch)
+        for _ in batch:
+            indices.popleft()
+    return batches
 
-    def test_does_not_coalesce_across_lines(self):
-        requests = list(indirect_requests([0, 64], 8))
-        assert len(requests) == 2
 
-    def test_does_not_coalesce_decreasing(self):
-        requests = list(indirect_requests([16, 8], 8))
-        assert len(requests) == 2
+@pytest.mark.parametrize("addrs,batches", [
+    ([0, 8, 16, 24, 32], [[0, 8, 16, 24], [32]]),
+    ([0, 64], [[0], [64]]),
+    ([16, 8], [[16], [8]]),
+    ([8, 8, 8], [[8, 8, 8]]),
+    ([], []),
+    ([0, 200, 100, 104], [[0], [200], [100, 104]]),
+], ids=[
+    "coalesces_up_to_four_in_line",
+    "does_not_coalesce_across_lines",
+    "does_not_coalesce_decreasing",
+    "duplicate_addresses_coalesce",
+    "empty",
+    "scattered_addresses",
+])
+def test_indirect_agu(addrs, batches):
+    assert indirect_batches(addrs) == batches
 
-    def test_duplicate_addresses_coalesce(self):
-        requests = list(indirect_requests([8, 8, 8], 8))
-        assert len(requests) == 1
-        assert requests[0].num_elements == 3
-
-    def test_empty(self):
-        assert list(indirect_requests([], 8)) == []
-
-    def test_scattered_addresses(self):
-        addrs = [0, 200, 100, 104]
-        requests = list(indirect_requests(addrs, 8))
-        flat = [a for r in requests for a in r.element_addrs]
-        assert flat == addrs
