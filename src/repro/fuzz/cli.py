@@ -44,8 +44,8 @@ def corpus_paths() -> List[pathlib.Path]:
 
 
 def _check_rng(seed: int, tag: str) -> random.Random:
-    # Injected into run_and_verify so mismatch sampling never touches the
-    # module-level random state (see workloads.common.coerce_rng).
+    # Handed to run_case so mismatch sampling never touches the
+    # module-level random state.
     return random.Random(f"verify:{seed}:{tag}")
 
 

@@ -208,6 +208,8 @@ def run_case(plan: CasePlan,
              params: Optional[SoftbrainParams] = None) -> OracleReport:
     """Run one plan through all three implementations and compare.
 
+    ``rng`` picks which differing pages a memory divergence details
+    (:func:`diff_stores`); without it the first pages are shown.
     ``faults`` (a :class:`repro.resilience.FaultInjector`) and ``params``
     apply to the cycle-level leg only; the interpreter and the pure
     evaluation always run fault-free, so under injection they serve as the
@@ -219,7 +221,7 @@ def run_case(plan: CasePlan,
     instances = plan.num_instances
 
     # -- leg 1: cycle-level simulator ----------------------------------------
-    def verify(memory, rng=None) -> None:
+    def verify(memory) -> None:
         mismatches = diff_stores(memory.store, expected.store,
                                  sample_rng=rng)
         if mismatches:
@@ -228,8 +230,7 @@ def run_case(plan: CasePlan,
     workload = BuiltWorkload(plan.name, built.program, built.fabric,
                              built.fresh_memory(), verify)
     try:
-        result = run_and_verify(workload, rng=rng, faults=faults,
-                                params=params)
+        result = run_and_verify(workload, faults=faults, params=params)
     except VerificationError as exc:
         report.divergences.append(Divergence("sim-memory", str(exc),
                                              exception=exc))

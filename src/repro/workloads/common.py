@@ -9,10 +9,9 @@ tests, examples and benchmarks all use.
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..cgra.fabric import Fabric
 from ..core.isa.patterns import LINE_BYTES
@@ -81,25 +80,10 @@ class BuiltWorkload:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-RngLike = Union[int, random.Random, None]
-
-
-def coerce_rng(rng: RngLike) -> Optional[random.Random]:
-    """Normalise an injectable RNG argument: an ``int`` seeds a fresh
-    :class:`random.Random`, an instance passes through, ``None`` stays
-    ``None``.  Never returns the module-level generator — randomised
-    verification (fuzz oracle sampling) must not perturb, or be perturbed
-    by, anyone else's ``random`` state."""
-    if rng is None or isinstance(rng, random.Random):
-        return rng
-    return make_rng(rng)
-
-
 def run_and_verify(
     built: BuiltWorkload,
     params: Optional[SoftbrainParams] = None,
     trace: Optional[TraceSink] = None,
-    rng: RngLike = None,
     faults=None,
 ) -> RunResult:
     """Simulate a built workload and check its outputs; returns the result.
@@ -107,11 +91,6 @@ def run_and_verify(
     ``trace`` forwards a :class:`repro.trace.TraceSink` to the simulator
     (the caller closes it), so every experiment harness built on this
     entry point can record structured traces.
-
-    ``rng`` (a seed or a :class:`random.Random`) is forwarded to verifiers
-    that declare an ``rng`` parameter — randomised checking stays
-    deterministic under an injected generator instead of mutating the
-    module-level ``random`` state.
 
     ``faults`` forwards a :class:`repro.resilience.FaultInjector` — the
     fault campaign and ``fuzz --faults`` run workloads under injected
@@ -121,19 +100,8 @@ def run_and_verify(
         built.program, fabric=built.fabric, memory=built.memory, params=params,
         trace=trace, faults=faults,
     )
-    if _accepts_rng(built.verify):
-        built.verify(built.memory, rng=coerce_rng(rng))
-    else:
-        built.verify(built.memory)
+    built.verify(built.memory)
     return result
-
-
-def _accepts_rng(verify: Callable) -> bool:
-    try:
-        parameters = inspect.signature(verify).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return "rng" in parameters
 
 
 def make_rng(seed: int) -> random.Random:

@@ -205,33 +205,10 @@ class TestCorpus:
 
 
 class TestInjectableRng:
-    def test_run_and_verify_forwards_rng(self):
-        from repro.workloads.common import BuiltWorkload, run_and_verify
-
-        plan = trivial_plan()
-        built = build_case(plan)
-        seen = []
-
-        def verify(memory, rng=None):
-            seen.append(rng)
-
-        workload = BuiltWorkload(plan.name, built.program, built.fabric,
-                                 built.fresh_memory(), verify)
-        run_and_verify(workload, rng=1234)
-        assert isinstance(seen[0], random.Random)
-
     def test_run_and_verify_leaves_global_rng_alone(self):
         state = random.getstate()
         assert run_case(_plan("rngstate"), rng=99).ok
         assert random.getstate() == state
-
-    def test_coerce_rng(self):
-        from repro.workloads.common import coerce_rng
-
-        assert coerce_rng(None) is None
-        instance = random.Random(7)
-        assert coerce_rng(instance) is instance
-        assert coerce_rng(7).random() == coerce_rng(7).random()
 
 
 class TestCli:
