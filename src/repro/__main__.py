@@ -7,7 +7,7 @@ Usage::
     python -m repro run class1p --units 8     # a DNN layer, 8-unit partition
     python -m repro table1|table3|table4      # render a table
     python -m repro fig11|fig12|fig13|fig14|fig15
-    python -m repro timeline dotprod          # Figure 4(b)-style timeline
+    python -m repro timeline gemm             # Figure 4(b)-style timeline
     python -m repro trace gemm --trace-out t.json   # structured trace + metrics
     python -m repro trace --schema            # the trace event vocabulary
     python -m repro fuzz --count 200 --seed 0 # differential fuzzing

@@ -1,12 +1,11 @@
 """Comparison baselines: CPU (OOO4), GPU (Kepler), DianNao, and ASICs."""
 
-from .cpu import CpuEstimate, CpuParams, ScalarWorkload, cpu_energy_mj, estimate_cpu_cycles
+from .cpu import CpuEstimate, CpuParams, ScalarWorkload, estimate_cpu_cycles
 from .diannao import (
     DIANNAO_AREA_MM2,
     DIANNAO_POWER_MW,
     DianNaoParams,
     DnnLayerCost,
-    diannao_energy_mj,
     estimate_diannao_cycles,
 )
 from .gpu import CLASS_UTILIZATION, GpuParams, GpuWorkload, estimate_gpu_cycles
@@ -22,8 +21,6 @@ __all__ = [
     "GpuParams",
     "GpuWorkload",
     "ScalarWorkload",
-    "cpu_energy_mj",
-    "diannao_energy_mj",
     "estimate_cpu_cycles",
     "estimate_diannao_cycles",
     "estimate_gpu_cycles",

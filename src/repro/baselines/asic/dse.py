@@ -68,22 +68,19 @@ def _pareto_front(points: Iterable[AsicEstimate]) -> List[AsicEstimate]:
     return front
 
 
-def select_iso_performance(
-    estimates: Sequence[AsicEstimate],
-    target_cycles: float,
-    threshold: float = 0.10,
-) -> AsicEstimate:
+def select_iso_performance(estimates: Sequence[AsicEstimate],
+                           target_cycles: float) -> AsicEstimate:
     """The paper's ASIC design-point selection rule.
 
-    Prefer designs within ``threshold`` of the Softbrain cycle count; if no
-    design lands in the band, fall back to every design at least as fast,
-    else to the fastest.  Among candidates, take the Pareto front over
+    Prefer designs within 10% of the Softbrain cycle count; if no design
+    lands in the band, fall back to every design at least as fast, else to
+    the fastest.  Among candidates, take the Pareto front over
     (power, area, cycles) and order by power first, then area.
     """
     if not estimates:
         raise ValueError("no design points to select from")
-    low = target_cycles * (1.0 - threshold)
-    high = target_cycles * (1.0 + threshold)
+    low = target_cycles * 0.9
+    high = target_cycles * 1.1
     candidates = [e for e in estimates if low <= e.cycles <= high]
     if not candidates:
         # Best-effort: every at-least-as-fast design goes to the Pareto

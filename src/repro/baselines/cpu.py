@@ -81,10 +81,9 @@ class CpuEstimate:
         return max(self.bounds, key=self.bounds.get)  # type: ignore[arg-type]
 
 
-def estimate_cpu_cycles(
-    workload: ScalarWorkload, params: CpuParams = CpuParams()
-) -> CpuEstimate:
+def estimate_cpu_cycles(workload: ScalarWorkload) -> CpuEstimate:
     """First-order OOO model: cycles = max over structural/dependence bounds."""
+    params = CpuParams()
     mispredicts = (
         workload.branches * workload.mispredict_rate * params.branch_penalty_cycles
     )
@@ -102,8 +101,3 @@ def estimate_cpu_cycles(
     cycles = max(bounds.values()) + mispredicts
     bounds["mispredicts"] = mispredicts
     return CpuEstimate(workload.name, max(cycles, 1.0), bounds)
-
-
-def cpu_energy_mj(cycles: float, params: CpuParams = CpuParams()) -> float:
-    """Energy in millijoules at 1 GHz."""
-    return params.power_mw * cycles / 1e9

@@ -48,10 +48,9 @@ class DnnLayerCost:
     refetch_factor: float = 1.0
 
 
-def estimate_diannao_cycles(
-    layer: DnnLayerCost, params: DianNaoParams = DianNaoParams()
-) -> float:
+def estimate_diannao_cycles(layer: DnnLayerCost) -> float:
     """The paper's optimistic DianNao performance model."""
+    params = DianNaoParams()
     compute = (
         layer.mac_ops / params.macs_per_cycle
         + layer.simple_ops / params.simple_ops_per_cycle
@@ -60,8 +59,3 @@ def estimate_diannao_cycles(
         layer.unique_bytes * layer.refetch_factor / params.mem_bw_bytes_per_cycle
     )
     return max(compute, memory, 1.0)
-
-
-def diannao_energy_mj(cycles: float) -> float:
-    """Energy at 1 GHz in millijoules (flat published power)."""
-    return DIANNAO_POWER_MW * cycles / 1e9

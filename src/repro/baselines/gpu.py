@@ -48,8 +48,9 @@ class GpuWorkload:
     kernels: int = 1  # kernel launches
 
 
-def estimate_gpu_cycles(workload: GpuWorkload, params: GpuParams = GpuParams()) -> float:
+def estimate_gpu_cycles(workload: GpuWorkload) -> float:
     """Roofline estimate of GPU execution time in 1 GHz cycles."""
+    params = GpuParams()
     try:
         utilization = CLASS_UTILIZATION[workload.kind]
     except KeyError:

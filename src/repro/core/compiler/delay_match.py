@@ -41,11 +41,8 @@ def _producer_value(ref: ValueRef) -> str:
     return str(ref)
 
 
-def compute_delays(
-    dfg: Dfg,
-    edge_hops: Mapping[EdgeKey, int],
-    max_delay: int = MAX_INPUT_DELAY,
-) -> DelaySolution:
+def compute_delays(dfg: Dfg,
+                   edge_hops: Mapping[EdgeKey, int]) -> DelaySolution:
     """Solve delay matching given per-edge hop counts.
 
     ``edge_hops`` must contain every dataflow edge: operand edges keyed
@@ -54,7 +51,7 @@ def compute_delays(
     ``hops + 1`` (one local-switch traversal).
 
     Raises :class:`DelayMatchError` if any required delay exceeds
-    ``max_delay``.
+    :data:`~repro.cgra.pe.MAX_INPUT_DELAY`.
     """
     ready: Dict[str, int] = {}  # value name -> cycle the value is produced
     for port_name, port in dfg.inputs.items():
@@ -77,9 +74,10 @@ def compute_delays(
         fire = max(arrivals.values(), default=0)
         for key, arrival in arrivals.items():
             needed = fire - arrival
-            if needed > max_delay:
+            if needed > MAX_INPUT_DELAY:
                 raise DelayMatchError(
-                    f"edge {key} needs {needed} delay cycles (max {max_delay})"
+                    f"edge {key} needs {needed} delay cycles "
+                    f"(max {MAX_INPUT_DELAY})"
                 )
             extra_delay[key] = needed
         fire_time[inst.name] = fire
@@ -96,9 +94,10 @@ def compute_delays(
         port_exit = max(arrivals.values())
         for key, arrival in arrivals.items():
             needed = port_exit - arrival
-            if needed > max_delay:
+            if needed > MAX_INPUT_DELAY:
                 raise DelayMatchError(
-                    f"edge {key} needs {needed} delay cycles (max {max_delay})"
+                    f"edge {key} needs {needed} delay cycles "
+                    f"(max {MAX_INPUT_DELAY})"
                 )
             extra_delay[key] = needed
         latency = max(latency, port_exit)

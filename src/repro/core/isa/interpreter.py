@@ -40,6 +40,7 @@ from .commands import (
     is_barrier,
     port_uses,
 )
+from .patterns import SCRATCH_BYTES
 from .program import HostCompute, StreamProgram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,11 +71,10 @@ class FunctionalRunState:
 class _State:
     """Interpreter state: port queues, scratch bytes, CGRA binding."""
 
-    def __init__(self, program: StreamProgram, store: "BackingStore",
-                 scratch_bytes: int) -> None:
+    def __init__(self, program: StreamProgram, store: "BackingStore") -> None:
         self.program = program
         self.store = store
-        self.scratch = bytearray(scratch_bytes)
+        self.scratch = bytearray(SCRATCH_BYTES)
         self.queues: Dict[Tuple[str, int], Deque[int]] = {}
         self.compiled = None  # CompiledDfg, bound at SD_Config
         self.acc_state: List[int] = []
@@ -132,10 +132,20 @@ class _State:
 
     # -- element access helpers ---------------------------------------------------
 
+    @staticmethod
+    def scratch_range(addr: int, size: int) -> slice:
+        """The scratch bytes ``[addr, addr + size)``; raises
+        :class:`IndexError` for an access the simulator's scratchpad
+        would reject."""
+        if addr < 0 or addr + size > SCRATCH_BYTES:
+            raise IndexError(f"scratch access [{addr}, {addr + size}) "
+                             f"outside 0..{SCRATCH_BYTES}")
+        return slice(addr, addr + size)
+
     def read_elem(self, from_scratch: bool, addr: int, size: int,
                   signed: bool) -> int:
         data = (
-            bytes(self.scratch[addr : addr + size])
+            bytes(self.scratch[self.scratch_range(addr, size)])
             if from_scratch
             else self.store.read(addr, size)
         )
@@ -145,7 +155,7 @@ class _State:
                    size: int) -> None:
         data = (word & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         if to_scratch:
-            self.scratch[addr : addr + size] = data
+            self.scratch[self.scratch_range(addr, size)] = data
         else:
             self.store.write(addr, data)
 
@@ -181,7 +191,7 @@ class _Executor:
             for index, addr in enumerate(pattern.element_addresses()):
                 data = state.store.read(addr, pattern.elem_bytes)
                 offset = command.scratch_addr + index * pattern.elem_bytes
-                state.scratch[offset : offset + pattern.elem_bytes] = data
+                state.scratch[state.scratch_range(offset, len(data))] = data
             return True, True
         if isinstance(command, SDConstPort):
             state.queue(command.dest).extend(
@@ -268,19 +278,18 @@ class _Executor:
         return f"{name}({ports}; {self.position}/{self._total()} elements)"
 
 
-def interpret_program(
-    program: StreamProgram,
-    store: BackingStore,
-    scratch_bytes: int = 4096,
-) -> FunctionalRunState:
+def interpret_program(program: StreamProgram,
+                      store: BackingStore) -> FunctionalRunState:
     """Execute a stream program functionally, mutating ``store`` in place.
 
     Returns the final :class:`FunctionalRunState` (scratchpad image and
     residual port queues) so callers can compare end states across
     implementations.  Raises :class:`FunctionalDeadlock` if no legal
-    interleaving lets the program finish (missing data, starved ports).
+    interleaving lets the program finish (missing data, starved ports),
+    and :class:`IndexError` for a scratch access outside
+    ``[0, SCRATCH_BYTES)``.
     """
-    state = _State(program, store, scratch_bytes)
+    state = _State(program, store)
     executors = [_Executor(state, item) for item in program.items]
     done = [False] * len(executors)
 

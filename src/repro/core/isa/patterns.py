@@ -23,6 +23,9 @@ from typing import Iterator, List, Sequence, Tuple
 LINE_BYTES = 64
 #: the CGRA datapath word
 WORD_BYTES = 8
+#: scratchpad capacity, the paper's 4 KB design point; the simulator and
+#: the functional interpreter both reject accesses outside it
+SCRATCH_BYTES = 4096
 
 
 class PatternError(ValueError):
@@ -129,12 +132,8 @@ class LineRequest:
         return self.num_elements * self.elem_bytes
 
 
-def line_requests(
-    addrs: Iterator[int],
-    elem_bytes: int,
-    line_bytes: int = LINE_BYTES,
-    max_elements: int = LINE_BYTES // 2,
-) -> Iterator[LineRequest]:
+def line_requests(addrs: Iterator[int],
+                  elem_bytes: int) -> Iterator[LineRequest]:
     """Coalesce an in-order element-address stream into minimal line requests.
 
     Elements must be delivered in stream order, so a request closes as soon
@@ -145,8 +144,8 @@ def line_requests(
     current_line: int = -1
     batch: List[int] = []
     for addr in addrs:
-        line = (addr // line_bytes) * line_bytes
-        fits = line == current_line and len(batch) < max_elements
+        line = (addr // LINE_BYTES) * LINE_BYTES
+        fits = line == current_line and len(batch) < LINE_BYTES // 2
         if not fits and batch:
             yield LineRequest(current_line, tuple(batch), elem_bytes)
             batch = []

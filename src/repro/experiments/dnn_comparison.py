@@ -9,7 +9,7 @@ DianNao see the full workload through their analytical models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from ..baselines.cpu import estimate_cpu_cycles
@@ -55,14 +55,8 @@ def run_softbrain_dnn(layer: DnnLayer, num_units: int = NUM_UNITS) -> RunResult:
     """Simulate unit 0's share with its slice of DRAM bandwidth."""
     built = build_dnn_layer(layer, unit_id=0, num_units=num_units)
     base = MemoryParams()
-    shared = MemoryParams(
-        l2_size_bytes=base.l2_size_bytes,
-        l2_hit_latency=base.l2_hit_latency,
-        dram_latency=base.dram_latency,
-        dram_gap_cycles=base.dram_gap_cycles * num_units,
-        accepts_per_cycle=base.accepts_per_cycle,
-    )
-    memory = MemorySystem(shared)
+    memory = MemorySystem(replace(
+        base, dram_gap_cycles=base.dram_gap_cycles * num_units))
     # Re-point the built workload's preloaded contents at the shared model.
     memory.store = built.memory.store
     # Regions read by every unit are fetched from DRAM once chip-wide and

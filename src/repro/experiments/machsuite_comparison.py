@@ -83,7 +83,6 @@ class MachSuiteRow:
 
 def machsuite_comparison(
     workloads: Optional[List[str]] = None,
-    cpu_params: CpuParams = CpuParams(),
 ) -> List[MachSuiteRow]:
     rows: List[MachSuiteRow] = []
     for name in workloads if workloads is not None else WORKLOAD_ORDER:
@@ -93,7 +92,7 @@ def machsuite_comparison(
         power = estimate_power(result, built.fabric).total_mw
 
         census = census_fn()
-        cpu = estimate_cpu_cycles(census, cpu_params)
+        cpu = estimate_cpu_cycles(census)
 
         ddg = ddg_fn()
         points = explore_design_space(ddg, base=base_fn())
@@ -103,7 +102,7 @@ def machsuite_comparison(
             MachSuiteRow(
                 workload=name,
                 cpu_cycles=cpu.cycles,
-                cpu_power_mw=cpu_params.power_mw,
+                cpu_power_mw=CpuParams().power_mw,
                 softbrain_cycles=result.cycles,
                 softbrain_power_mw=power,
                 asic=asic,

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cgra.fabric import broadly_provisioned
 from ..core.compiler import schedule
 from ..core.compiler.config import CgraConfig
+from ..core.isa.patterns import SCRATCH_BYTES
 from ..core.isa.program import StreamProgram
 from ..sim.memory import BackingStore, MemorySystem
 from ..workloads.common import Allocator
@@ -31,9 +32,6 @@ from ..workloads.common import Allocator
 #: a corpus case re-runs the scheduler with these exact parameters.
 FUZZ_ANNEAL_ITERATIONS = 150
 FUZZ_SCHEDULE_ATTEMPTS = 4
-
-#: scratchpad capacity the simulator provisions (SoftbrainParams default)
-SCRATCH_CAPACITY = 4096
 
 CASE_VERSION = 1
 
@@ -238,7 +236,7 @@ def validate_plan(plan: CasePlan) -> None:
     if set(plan.drains) != set(dfg.outputs):
         raise PlanError("drains must cover exactly the DFG output ports")
 
-    scratch_bytes = 0
+    scratch_used = 0
     for port, segments in sorted(plan.feeds.items()):
         width = dfg.inputs[port].width
         total = 0
@@ -257,7 +255,7 @@ def validate_plan(plan: CasePlan) -> None:
                 if len(seg.array) != span:
                     raise PlanError(f"{port}[{index}]: array/geometry mismatch")
             elif seg.kind == "scratch":
-                scratch_bytes += _aligned(len(seg.array) * seg.elem_bytes)
+                scratch_used += _aligned(len(seg.array) * seg.elem_bytes)
             elif seg.kind == "indirect":
                 if any(not 0 <= i < len(seg.array) for i in seg.indices):
                     raise PlanError(f"{port}[{index}]: index out of range")
@@ -289,7 +287,7 @@ def validate_plan(plan: CasePlan) -> None:
                 if len(set(seg.indices)) != len(seg.indices):
                     raise PlanError(f"{port}[{index}]: duplicate scatter index")
             elif seg.kind == "scratch":
-                scratch_bytes += _aligned(seg.count * seg.elem_bytes)
+                scratch_used += _aligned(seg.count * seg.elem_bytes)
         if total != width * plan.num_instances:
             raise PlanError(
                 f"{port}: drains {total} elements, produces "
@@ -303,9 +301,9 @@ def validate_plan(plan: CasePlan) -> None:
         seed = width * plan.num_instances - feed.count
         if seed < width:
             raise PlanError("recurrence needs at least one seeded instance")
-    if scratch_bytes > SCRATCH_CAPACITY:
-        raise PlanError(f"plan needs {scratch_bytes} B scratch, have "
-                        f"{SCRATCH_CAPACITY}")
+    if scratch_used > SCRATCH_BYTES:
+        raise PlanError(f"plan needs {scratch_used} B scratch, have "
+                        f"{SCRATCH_BYTES}")
 
 
 def _aligned(nbytes: int) -> int:

@@ -52,8 +52,8 @@ RANDOM_OPS = [
 #: port's total traffic fits its FIFO — the structural-deadlock-freedom rule
 MAX_INSTANCES = 8
 
-#: scratchpad bytes a generated plan may claim (the sim default is 4096;
-#: leave headroom so line-aligned allocation never overflows)
+#: scratchpad bytes a generated plan may claim (below ``SCRATCH_BYTES``,
+#: leaving headroom so line-aligned allocation never overflows)
 SCRATCH_BUDGET = 3072
 
 #: indirect ports available on the target fabrics
@@ -250,16 +250,16 @@ class _ProgramBudget:
     """Shared resource tracking while one plan is generated."""
 
     def __init__(self) -> None:
-        self.scratch_bytes = 0
+        self.scratch_used = 0
         self.ind_ports = 0
         self.has_recurrence = False
 
     def scratch_ok(self, nbytes: int) -> bool:
         # Line-aligned allocation: round up pessimistically.
-        return self.scratch_bytes + nbytes + 64 <= SCRATCH_BUDGET
+        return self.scratch_used + nbytes + 64 <= SCRATCH_BUDGET
 
     def take_scratch(self, nbytes: int) -> None:
-        self.scratch_bytes += (nbytes + 63) // 64 * 64
+        self.scratch_used += (nbytes + 63) // 64 * 64
 
 
 def _feed_segments(rng: random.Random, width: int, instances: int,

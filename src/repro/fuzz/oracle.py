@@ -25,17 +25,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.isa.interpreter import FunctionalDeadlock, interpret_program
+from ..core.isa.patterns import SCRATCH_BYTES
 from ..sim.errors import SimError, SimulationDeadlock, SimulationLimit
-from ..sim.memory import BackingStore
+from ..sim.memory import PAGE_BYTES, BackingStore
 from ..sim.softbrain import SoftbrainParams
 from ..workloads.common import BuiltWorkload, VerificationError, run_and_verify
-from .case import (
-    SCRATCH_CAPACITY,
-    BuiltCase,
-    CasePlan,
-    build_case,
-    element_indices,
-)
+from .case import BuiltCase, CasePlan, build_case, element_indices
 
 WORD_MASK = (1 << 64) - 1
 
@@ -137,7 +132,7 @@ def evaluate_case(built: BuiltCase) -> Expected:
 
     # Apply the drains to a fresh copy of the initial image.
     store = built.fresh_store()
-    scratch = bytearray(SCRATCH_CAPACITY)
+    scratch = bytearray(SCRATCH_BYTES)
     for port in sorted(plan.feeds):
         for index, seg in enumerate(plan.feeds[port]):
             if seg.kind == "scratch":
@@ -184,7 +179,7 @@ def diff_stores(got: BackingStore, want: BackingStore,
     patterns across fuzz reruns without dumping megabytes."""
     got_pages = got.snapshot_pages()
     want_pages = want.snapshot_pages()
-    zeros = bytes(4096)
+    zeros = bytes(PAGE_BYTES)
     bad_pages = [
         pid for pid in sorted(set(got_pages) | set(want_pages))
         if got_pages.get(pid, zeros) != want_pages.get(pid, zeros)
@@ -195,8 +190,8 @@ def diff_stores(got: BackingStore, want: BackingStore,
     for pid in bad_pages[:limit]:
         g = got_pages.get(pid, zeros)
         w = want_pages.get(pid, zeros)
-        offset = next(i for i in range(4096) if g[i] != w[i])
-        addr = (pid << 12) + offset
+        offset = next(i for i in range(PAGE_BYTES) if g[i] != w[i])
+        addr = pid * PAGE_BYTES + offset
         out.append(f"addr=0x{addr:x}: got 0x{g[offset]:02x} "
                    f"want 0x{w[offset]:02x}")
     return out
@@ -259,8 +254,7 @@ def run_case(plan: CasePlan,
     # -- leg 2: functional interpreter ---------------------------------------
     store = built.fresh_store()
     try:
-        final = interpret_program(built.program, store,
-                                  scratch_bytes=SCRATCH_CAPACITY)
+        final = interpret_program(built.program, store)
     except FunctionalDeadlock as exc:
         report.divergences.append(Divergence("interp-deadlock", str(exc)))
     except Exception as exc:

@@ -6,7 +6,6 @@ from .model import (
     SOFTBRAIN_COMPONENTS,
     activity_factors,
     estimate_power,
-    max_activity_power_mw,
     softbrain_area_mm2,
     softbrain_peak_power_mw,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "SOFTBRAIN_COMPONENTS",
     "activity_factors",
     "estimate_power",
-    "max_activity_power_mw",
     "scale_area",
     "scale_power",
     "softbrain_area_mm2",

@@ -11,7 +11,7 @@ published column (0.47 mm² / 119.3 mW per unit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 from ..cgra.fabric import Fabric
 from ..sim.softbrain import RunResult
@@ -69,11 +69,6 @@ class PowerBreakdown:
     def total_mw(self) -> float:
         return sum(self.component_mw.values())
 
-    def energy_mj(self, cycles: int, freq_ghz: float = 1.0) -> float:
-        """Energy in millijoules for a run of ``cycles`` at ``freq_ghz``."""
-        seconds = cycles / (freq_ghz * 1e9)
-        return self.total_mw * seconds  # mW * s == mJ
-
     def table(self) -> str:
         lines = [f"{'component':<16} {'activity':>8} {'power(mW)':>10}"]
         for name, mw in self.component_mw.items():
@@ -116,26 +111,12 @@ def activity_factors(result: RunResult, fabric: Fabric) -> Dict[str, float]:
     }
 
 
-def estimate_power(
-    result: RunResult,
-    fabric: Fabric,
-    activity_override: Optional[Mapping[str, float]] = None,
-) -> PowerBreakdown:
-    """Power of one Softbrain unit during a run.
-
-    ``activity_override`` replaces measured activity factors (used to
-    evaluate "max activity" design points like Table 3's column).
-    """
-    activity = dict(activity_factors(result, fabric))
-    if activity_override:
-        activity.update(activity_override)
+def estimate_power(result: RunResult, fabric: Fabric) -> PowerBreakdown:
+    """Power of one Softbrain unit during a run, from its measured
+    activity factors."""
+    activity = activity_factors(result, fabric)
     component_mw = {
         name: model.power_mw(activity.get(name, 0.0))
         for name, model in SOFTBRAIN_COMPONENTS.items()
     }
     return PowerBreakdown(component_mw, activity)
-
-
-def max_activity_power_mw() -> Dict[str, float]:
-    """Table 3's per-component power at maximum DNN activity factors."""
-    return {name: model.peak_mw for name, model in SOFTBRAIN_COMPONENTS.items()}

@@ -9,10 +9,8 @@ Three pieces (see ``docs/RESILIENCE.md``):
 * :func:`build_wait_graph` — the hang watchdog: turns a deadlocked or
   limit-tripped simulator into a wait-for graph with root-cause chains.
 * :class:`FailureReport` — the JSON crash dump attached to every escaping
-  :class:`~repro.sim.errors.SimError`, plus :class:`ResiliencePolicy` /
-  :func:`run_resilient` for abort / retry / continue degradation, and
-  :func:`run_campaign` — the fault-campaign driver behind
-  ``python -m repro faults``.
+  :class:`~repro.sim.errors.SimError`, and :func:`run_campaign` — the
+  fault-campaign driver behind ``python -m repro faults``.
 """
 
 from .campaign import (
@@ -24,10 +22,7 @@ from .campaign import (
 from .faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from .report import (
     FailureReport,
-    ResiliencePolicy,
-    ResilientOutcome,
     build_failure_report,
-    run_resilient,
     snapshot_components,
 )
 from .watchdog import WaitGraph, build_wait_graph
@@ -41,12 +36,9 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "ResiliencePolicy",
-    "ResilientOutcome",
     "WaitGraph",
     "build_failure_report",
     "build_wait_graph",
     "run_campaign",
-    "run_resilient",
     "snapshot_components",
 ]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.isa.commands import Command
 from ..core.isa.program import ProgramItem
@@ -110,14 +110,14 @@ class FaultPlan:
                    specs=[FaultSpec.from_dict(s) for s in data["specs"]])
 
     @classmethod
-    def random(cls, seed: int, classes: Sequence[str] = FAULT_KINDS,
-               max_cycle: int = 2000, count: int = 1) -> "FaultPlan":
-        """A reproducible random plan (same seed => same plan)."""
+    def random(cls, seed: int, count: int = 1) -> "FaultPlan":
+        """A reproducible random plan (same seed => same plan): ``count``
+        faults of any class, timed before cycle 2000."""
         rng = random.Random(f"faultplan:{seed}")
         specs = []
         for _ in range(count):
-            kind = rng.choice(list(classes))
-            specs.append(random_spec(rng, kind, max_cycle))
+            kind = rng.choice(FAULT_KINDS)
+            specs.append(random_spec(rng, kind, 2000))
         return cls(name=f"random-{seed}", specs=specs)
 
 

@@ -12,19 +12,13 @@ of a multi-unit run; only a run of more than one unit tags the entries
 with their unit.  Reports are deterministic — no wall-clock timestamps,
 sorted JSON keys — so the same seed reproduces a byte-identical dump,
 which the fault campaign asserts.
-
-:class:`ResiliencePolicy` / :func:`run_resilient` implement the degradation
-policy around a failing run: ``abort`` (re-raise, default), ``retry``
-(re-run from the program-start checkpoint up to ``max_retries`` times) or
-``continue`` (record the failure and carry on with a flagged outcome).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .watchdog import build_wait_graph
 
@@ -214,80 +208,3 @@ def build_failure_report(sims, exc, tagged: bool) -> FailureReport:
         trace_tail=tail,
         faults=faults,
     )
-
-
-# -- degradation policy ------------------------------------------------------
-
-
-@dataclass
-class ResiliencePolicy:
-    """What to do when a run raises a :class:`SimError`.
-
-    ``abort``: re-raise (the default, and what plain ``run_program`` does
-    anyway).  ``retry``: re-run from the program-start checkpoint up to
-    ``max_retries`` more times — meaningful when faults are transient
-    (injected or environmental), pointless for deterministic bugs.
-    ``continue``: swallow the failure and return a flagged outcome so a
-    campaign can keep sweeping.  With ``dump_dir`` set, every failure's
-    JSON crash dump is written there.
-    """
-
-    mode: str = "abort"  # "abort" | "retry" | "continue"
-    max_retries: int = 1
-    dump_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("abort", "retry", "continue"):
-            raise ValueError(f"unknown resilience mode {self.mode!r}")
-
-
-@dataclass
-class ResilientOutcome:
-    """Result of :func:`run_resilient`."""
-
-    result: Any  #: the run's return value, or None if every attempt failed
-    failures: List[BaseException] = field(default_factory=list)
-    attempts: int = 0
-    dumps: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None and not self.failures
-
-    @property
-    def flagged(self) -> bool:
-        """True when a failure was tolerated (policy != abort)."""
-        return bool(self.failures)
-
-
-def run_resilient(run: Callable[[], Any],
-                  policy: Optional[ResiliencePolicy] = None
-                  ) -> ResilientOutcome:
-    """Invoke ``run()`` under a degradation policy.
-
-    ``run`` must be restartable from scratch (build a fresh sim per call);
-    the program-start state *is* the checkpoint the ``retry`` mode resumes
-    from.
-    """
-    from ..sim.errors import SimError
-
-    policy = policy or ResiliencePolicy()
-    outcome = ResilientOutcome(result=None)
-    attempts = 1 + (policy.max_retries if policy.mode == "retry" else 0)
-    for attempt in range(attempts):
-        outcome.attempts = attempt + 1
-        try:
-            outcome.result = run()
-            return outcome
-        except SimError as exc:
-            outcome.failures.append(exc)
-            if policy.dump_dir and exc.report is not None:
-                os.makedirs(policy.dump_dir, exist_ok=True)
-                path = os.path.join(
-                    policy.dump_dir,
-                    f"{exc.report.program}-{exc.report.kind}"
-                    f"-a{attempt}.json")
-                outcome.dumps.append(exc.report.save(path))
-            if policy.mode == "abort":
-                raise
-    return outcome

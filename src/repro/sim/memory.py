@@ -19,7 +19,7 @@ from ..trace import NULL_SINK, SHARED_UNIT, TraceEvent, TraceSink
 from .errors import MemoryProtocolError
 
 _PAGE_BITS = 12
-_PAGE_BYTES = 1 << _PAGE_BITS
+PAGE_BYTES = 1 << _PAGE_BITS
 
 
 @dataclass
@@ -49,7 +49,7 @@ class BackingStore:
         page_id = addr >> _PAGE_BITS
         page = self._pages.get(page_id)
         if page is None:
-            page = bytearray(_PAGE_BYTES)
+            page = bytearray(PAGE_BYTES)
             self._pages[page_id] = page
         return page
 
@@ -58,8 +58,8 @@ class BackingStore:
         pos = 0
         while pos < size:
             page = self._page(addr + pos)
-            offset = (addr + pos) & (_PAGE_BYTES - 1)
-            chunk = min(size - pos, _PAGE_BYTES - offset)
+            offset = (addr + pos) & (PAGE_BYTES - 1)
+            chunk = min(size - pos, PAGE_BYTES - offset)
             out[pos : pos + chunk] = page[offset : offset + chunk]
             pos += chunk
         return bytes(out)
@@ -69,8 +69,8 @@ class BackingStore:
         size = len(data)
         while pos < size:
             page = self._page(addr + pos)
-            offset = (addr + pos) & (_PAGE_BYTES - 1)
-            chunk = min(size - pos, _PAGE_BYTES - offset)
+            offset = (addr + pos) & (PAGE_BYTES - 1)
+            chunk = min(size - pos, PAGE_BYTES - offset)
             page[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
 
@@ -95,10 +95,10 @@ class BackingStore:
         per-read ``bytearray`` assembly of :meth:`read`.
         """
         out = []
-        page_mask = _PAGE_BYTES - 1
+        page_mask = PAGE_BYTES - 1
         for addr in addrs:
             offset = addr & page_mask
-            if offset + size <= _PAGE_BYTES:
+            if offset + size <= PAGE_BYTES:
                 page = self._page(addr)
                 value = int.from_bytes(
                     page[offset:offset + size], "little", signed=signed

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..core.isa.patterns import SCRATCH_BYTES
 from ..trace import NULL_SINK, TraceEvent, TraceSink
 from .errors import ScratchpadError
 
@@ -29,12 +30,11 @@ class ScratchpadStats:
 class Scratchpad:
     """Functional contents and access counters of the scratchpad SRAM."""
 
-    def __init__(self, size_bytes: int = 4096, width_bytes: int = 64) -> None:
-        if size_bytes <= 0 or size_bytes % width_bytes:
-            raise ValueError("scratchpad size must be a positive multiple of width")
-        self.size_bytes = size_bytes
-        self.width_bytes = width_bytes
-        self._data = bytearray(size_bytes)
+    #: bytes one access may move
+    width_bytes = 64
+
+    def __init__(self) -> None:
+        self._data = bytearray(SCRATCH_BYTES)
         self.stats = ScratchpadStats()
         self.trace: TraceSink = NULL_SINK
         self._trace_unit = 0
@@ -59,10 +59,10 @@ class Scratchpad:
         ))
 
     def _check(self, addr: int, size: int) -> None:
-        if addr < 0 or addr + size > self.size_bytes:
+        if addr < 0 or addr + size > SCRATCH_BYTES:
             raise ScratchpadError(
                 f"scratch access [{addr}, {addr + size}) outside "
-                f"0..{self.size_bytes}"
+                f"0..{SCRATCH_BYTES}"
             )
 
     def read(self, addr: int, size: int) -> bytes:

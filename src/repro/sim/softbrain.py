@@ -62,6 +62,9 @@ from .stream_engine import (
     StreamEngineBase,
 )
 
+#: stepped cycles between ``port.sample`` trace events (traced runs only)
+PORT_SAMPLE_INTERVAL = 64
+
 
 @dataclass
 class SoftbrainParams:
@@ -73,13 +76,10 @@ class SoftbrainParams:
     *all-requests-in-flight* port state (overlapping same-port streams).
     """
 
-    scratch_bytes: int = 4096
     stream_table_size: int = 8
     max_cycles: int = 50_000_000
     balance_unit: bool = True
     all_requests_in_flight: bool = True
-    #: stepped cycles between ``port.sample`` trace events (traced runs only)
-    trace_sample_interval: int = 64
 
 
 @dataclass
@@ -113,7 +113,7 @@ class SoftbrainSim:
         self.fabric = fabric or dnn_provisioned()
         self.params = params or SoftbrainParams()
         self.memory = memory or MemorySystem()
-        self.scratchpad = Scratchpad(self.params.scratch_bytes)
+        self.scratchpad = Scratchpad()
         self.stats = SimStats()
         self.timeline = Timeline()
         self.trace = trace or NULL_SINK
@@ -283,7 +283,7 @@ class SoftbrainSim:
         A port is sampled while it holds or awaits data, plus once more
         after it empties so depth series return to zero.
         """
-        self._next_port_sample = cycle + self.params.trace_sample_interval
+        self._next_port_sample = cycle + PORT_SAMPLE_INTERVAL
         emit = self.trace.emit
         for ports in (self.input_ports, self.output_ports,
                       self.indirect_ports):

@@ -8,22 +8,22 @@ visualise.  :func:`render_timeline` reproduces those figures as ASCII.
 This module is the *aggregate* accounting; the structured per-event record
 lives in :mod:`repro.trace`.  The two are bridged in both directions: the
 ``command.enqueue`` / ``command.dispatch`` / ``command.complete`` trace
-events carry exactly the cycles a :class:`CommandTrace` stores, and a
-:class:`SimStats` can be reconstructed from a recorded event stream with
-:meth:`SimStats.from_events` (each counter here has a one-to-one emitting
-event kind: ``engine.busy`` for :attr:`SimStats.engine_busy`,
-``cgra.fire`` for :attr:`SimStats.instances_fired` /
-:attr:`SimStats.ops_executed` / :attr:`SimStats.fu_activity`,
-``cgra.stall`` for the two stall counters, ``command.dispatch`` for
-:attr:`SimStats.commands_issued` and ``config.apply`` for
-:attr:`SimStats.config_loads`).  The exactness of that correspondence is
-enforced by :meth:`repro.trace.MetricsRegistry.reconcile`.
+events carry exactly the cycles a :class:`CommandTrace` stores, and each
+:class:`SimStats` counter has a one-to-one emitting event kind:
+``engine.busy`` for :attr:`SimStats.engine_busy`, ``cgra.fire`` for
+:attr:`SimStats.instances_fired` / :attr:`SimStats.ops_executed` /
+:attr:`SimStats.fu_activity`, ``cgra.stall`` for the two stall counters,
+``command.dispatch`` for :attr:`SimStats.commands_issued` and
+``config.apply`` for :attr:`SimStats.config_loads`.  Replaying a recorded
+event stream through :meth:`repro.trace.MetricsRegistry.from_events` and
+calling :meth:`~repro.trace.MetricsRegistry.reconcile` checks that
+correspondence exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.isa.commands import Command
 
@@ -62,8 +62,7 @@ class SimStats:
     Every counter except :attr:`cycles` and
     :attr:`control_instructions` is incremented at a program point that
     also emits a :class:`repro.trace.TraceEvent` (see the module
-    docstring for the counter ↔ event-kind table), which is what makes
-    :meth:`from_events` exact and lets
+    docstring for the counter ↔ event-kind table), which lets
     :meth:`repro.trace.MetricsRegistry.reconcile` cross-check the two.
     """
 
@@ -112,38 +111,6 @@ class SimStats:
             "ops_per_cycle": self.ops_per_cycle,
             "cgra_utilization": self.cgra_utilization,
         }
-
-    @classmethod
-    def from_events(cls, events: Iterable) -> "SimStats":
-        """Rebuild the event-derivable counters from a recorded trace.
-
-        Takes any iterable of :class:`repro.trace.TraceEvent`.  All
-        counters with an emitting event kind are reconstructed exactly;
-        :attr:`cycles` becomes the last event cycle + 1 (a lower bound on
-        the true cycle count — drain-only tail cycles emit no events) and
-        :attr:`control_instructions` stays 0 (the control core's
-        per-instruction progress is deliberately untraced).
-        """
-        stats = cls()
-        for event in events:
-            kind = event.kind
-            if kind == "engine.busy":
-                stats.note_engine_busy(event.component)
-            elif kind == "cgra.fire":
-                stats.note_firing(event.data["ops"], event.data["fu"])
-            elif kind == "cgra.stall":
-                if event.data["cause"] == "no_input":
-                    stats.cgra_stall_no_input += 1
-                else:
-                    stats.cgra_stall_no_output_room += 1
-            elif kind == "command.dispatch":
-                if event.data["engine"] != "barrier":
-                    stats.commands_issued += 1
-            elif kind == "config.apply":
-                stats.config_loads += 1
-            if event.cycle >= stats.cycles:
-                stats.cycles = event.cycle + 1
-        return stats
 
 
 class Timeline:

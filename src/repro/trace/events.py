@@ -152,8 +152,8 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             "port.sample",
             "SoftbrainSim",
             "Periodic vector-port depth sample (every "
-            "`SoftbrainParams.trace_sample_interval` stepped cycles; only "
-            "ports whose depth changed from zero are sampled).",
+            "`repro.sim.softbrain.PORT_SAMPLE_INTERVAL` stepped cycles; "
+            "only ports whose depth changed from zero are sampled).",
             port="port name, e.g. 'in0', 'out1', 'indirect0'",
             occupancy="words resident in the FIFO",
             reserved="words reserved for in-flight data",

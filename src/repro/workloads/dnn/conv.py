@@ -26,6 +26,7 @@ from ...cgra.fabric import Fabric, dnn_provisioned
 from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
+from ...core.isa.patterns import SCRATCH_BYTES
 from ...core.isa.program import StreamProgram
 from ...sim.memory import MemorySystem
 from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
@@ -165,7 +166,7 @@ def build_conv(
     # views re-read every input element ~K times per output map, and the
     # scratchpad is the architecture's mechanism for exactly this reuse.
     in_bytes = layer.n_in * layer.in_h * row_bytes
-    if in_bytes > 4096:
+    if in_bytes > SCRATCH_BYTES:
         raise ValueError("input planes exceed the 4 KB scratchpad")
     program.mem_scratch(in_addr, in_bytes, in_bytes, 1, 0)
     program.barrier_scratch_wr()

@@ -7,8 +7,6 @@ from repro.baselines import (
     DnnLayerCost,
     GpuWorkload,
     ScalarWorkload,
-    cpu_energy_mj,
-    diannao_energy_mj,
     estimate_cpu_cycles,
     estimate_diannao_cycles,
     estimate_gpu_cycles,
@@ -51,10 +49,6 @@ class TestCpuModel:
 
     def test_minimum_one_cycle(self):
         assert estimate_cpu_cycles(ScalarWorkload("empty")).cycles >= 1
-
-    def test_energy(self):
-        params = CpuParams()
-        assert cpu_energy_mj(1e9, params) == pytest.approx(params.power_mw)
 
     def test_cpu_power_is_watts_class(self):
         assert 3000 < CpuParams().power_mw < 20_000
@@ -104,9 +98,6 @@ class TestDianNaoModel:
     def test_published_figures(self):
         assert DIANNAO_AREA_MM2 == pytest.approx(2.16)
         assert DIANNAO_POWER_MW == pytest.approx(418.3)
-
-    def test_energy(self):
-        assert diannao_energy_mj(1e9) == pytest.approx(DIANNAO_POWER_MW)
 
 
 class TestTechScaling:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.__main__
 from repro.__main__ import main
 from repro.core.isa import SDBarrierAll, SDMemPort, Affine2D, in_port
 from repro.sim.stats import CommandTrace, SimStats, Timeline, render_timeline
@@ -43,6 +44,25 @@ class TestCli:
     def test_timeline(self, capsys):
         assert main(["timeline", "backprop"]) == 0
         assert "SD_" in capsys.readouterr().out
+
+    USAGE = [line.split("#")[0].split()[3:]
+             for line in repro.__main__.__doc__.splitlines()
+             if line.strip().startswith("python -m repro ")]
+
+    @pytest.mark.parametrize("words", USAGE, ids="_".join)
+    def test_usage_line(self, words, capsys):
+        """Each ``python -m repro ...`` line of the usage docstring names
+        real subcommands and a workload that ``list`` prints."""
+        main(["list"])
+        listed = {line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  ")}
+        for command in words[0].split("|"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0, command
+        if len(words) > 1 and not words[1].startswith("-"):
+            assert words[1] in listed
 
 
 class TestSimStats:

@@ -210,6 +210,35 @@ class TestGoldenModelEdgeCases:
         assert result.scratchpad.snapshot()[window] == packed
         assert bytes(final.scratch[window]) == packed
 
+    @pytest.mark.parametrize("path", ["mem_scratch", "scratch_port",
+                                      "port_scratch"])
+    def test_scratch_bound_enforced_by_both_engines(self, path):
+        """A 64-byte scratch access at ``SCRATCH_BYTES - 6`` runs past the
+        scratchpad: the simulator and the interpreter both reject it."""
+        from repro.cgra import broadly_provisioned
+        from repro.core.isa import StreamProgram
+        from repro.core.isa.patterns import SCRATCH_BYTES
+        from repro.sim.errors import ScratchpadError
+        from repro.sim.softbrain import run_program
+
+        addr = SCRATCH_BYTES - 6
+        program = StreamProgram(f"scratch-bound-{path}", _passthrough_config())
+        if path == "mem_scratch":
+            program.mem_scratch(0x1000, 64, 64, 1, addr)
+        elif path == "scratch_port":
+            program.scratch_port(addr, 64, 64, 1, "A")
+            program.port_mem("O", 64, 64, 1, 0x2000)
+        else:
+            program.mem_port(0x1000, 64, 64, 1, "A")
+            program.port_scratch("O", 8, addr)
+        program.barrier_all()
+
+        with pytest.raises(ScratchpadError, match="outside 0..4096"):
+            run_program(program, fabric=broadly_provisioned(),
+                        memory=MemorySystem())
+        with pytest.raises(IndexError, match="outside 0..4096"):
+            interpret_program(program, BackingStore())
+
     def test_zero_length_streams_rejected(self):
         """The ISA has no zero-element streams: every constructor rejects
         them at build time rather than hanging an engine."""

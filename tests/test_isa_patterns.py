@@ -114,7 +114,7 @@ class TestLineRequests:
 
     def test_max_elements_cap(self):
         addrs = iter([0] * 100)
-        requests = list(line_requests(addrs, 2, max_elements=32))
+        requests = list(line_requests(addrs, 2))
         assert all(r.num_elements <= 32 for r in requests)
         assert sum(r.num_elements for r in requests) == 100
 

@@ -3,7 +3,7 @@
 Covers the unified SimError hierarchy, the dispatcher's queue-full stall
 (regression: it used to raise), structured FailureReports on every
 failure path (deadlock, cycle limit, config errors, multi-unit), each
-fault class end-to-end, the degradation policy, and a small campaign.
+fault class end-to-end, and a small campaign.
 """
 
 import json
@@ -21,9 +21,7 @@ from repro.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    ResiliencePolicy,
     run_campaign,
-    run_resilient,
 )
 from repro.sim import (
     ConfigError,
@@ -448,52 +446,6 @@ class TestFaultPlans:
         for kind in FAULT_KINDS:
             spec = random_spec(rng, kind, 100)
             assert spec.kind == kind
-
-
-class TestResiliencePolicy:
-    def failing_run(self):
-        program, fabric, memory = deadlock_workload()
-        return run_program(program, fabric=fabric, memory=memory)
-
-    def test_abort_reraises(self):
-        with pytest.raises(SimulationDeadlock):
-            run_resilient(self.failing_run, ResiliencePolicy(mode="abort"))
-
-    def test_continue_returns_flagged_outcome(self):
-        outcome = run_resilient(self.failing_run,
-                                ResiliencePolicy(mode="continue"))
-        assert outcome.result is None
-        assert outcome.flagged and not outcome.ok
-        assert isinstance(outcome.failures[0], SimulationDeadlock)
-
-    def test_retry_recovers_from_transient_failure(self):
-        attempts = []
-
-        def flaky_run():
-            attempts.append(1)
-            if len(attempts) == 1:
-                return self.failing_run()
-            program, fabric, memory, _ = copy_workload(8)
-            return run_program(program, fabric=fabric, memory=memory)
-
-        outcome = run_resilient(
-            flaky_run, ResiliencePolicy(mode="retry", max_retries=2))
-        assert outcome.result is not None
-        assert outcome.attempts == 2
-        assert outcome.flagged  # the first failure is still recorded
-
-    def test_dump_dir_receives_crash_dump(self, tmp_path):
-        outcome = run_resilient(
-            self.failing_run,
-            ResiliencePolicy(mode="continue", dump_dir=str(tmp_path)))
-        assert outcome.dumps
-        loaded = FailureReport.from_json(
-            (tmp_path / outcome.dumps[0].split("/")[-1]).read_text())
-        assert loaded.kind == "deadlock"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(mode="shrug")
 
 
 class TestCampaign:

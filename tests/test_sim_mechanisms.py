@@ -15,6 +15,7 @@ from repro.core.dfg import parse_dfg
 from repro.core.isa import StreamProgram
 from repro.core.isa.interpreter import interpret_program
 from repro.sim import MemorySystem, SimError, SoftbrainParams, run_program
+from repro.sim import softbrain
 from repro.trace import ListSink
 from repro.workloads.common import read_words, write_words
 
@@ -233,8 +234,9 @@ class CycleTableTest:
         sink = ListSink()
         failures = []
         try:
-            run_program(program, fabric=fabric, memory=memory, trace=sink,
-                        params=SoftbrainParams(trace_sample_interval=1))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(softbrain, "PORT_SAMPLE_INTERVAL", 1)
+                run_program(program, fabric=fabric, memory=memory, trace=sink)
         except SimError as exc:
             failures.append(f"run failed at cycle {exc.cycle}: "
                             f"{str(exc).splitlines()[0]}")

@@ -131,25 +131,25 @@ class TestMemoryTiming:
 
 class TestScratchpad:
     def test_round_trip(self):
-        scratch = Scratchpad(4096)
+        scratch = Scratchpad()
         scratch.write(100, b"data!")
         assert scratch.read(100, 5) == b"data!"
 
     def test_bounds_checked(self):
-        scratch = Scratchpad(4096)
+        scratch = Scratchpad()
         with pytest.raises(ScratchpadError):
             scratch.read(4090, 10)
         with pytest.raises(ScratchpadError):
             scratch.write(-1, b"x")
 
     def test_word_helpers(self):
-        scratch = Scratchpad(4096)
+        scratch = Scratchpad()
         scratch.write_word(8, -3, 8)
         assert scratch.read_word(8, signed=True) == -3
         assert scratch.read_extended(8, 8, False) == (1 << 64) - 3
 
     def test_stats(self):
-        scratch = Scratchpad(4096)
+        scratch = Scratchpad()
         scratch.write(0, b"12345678")
         scratch.read(0, 8)
         assert scratch.stats.writes == 1
@@ -160,7 +160,7 @@ class TestScratchpad:
         from repro.trace import ListSink
 
         def filled():
-            scratch = Scratchpad(4096)
+            scratch = Scratchpad()
             scratch.write(0, bytes((i * 53) & 0xFF for i in range(4096)))
             sink = ListSink()
             scratch.attach_trace(sink, 0, lambda: 7)
@@ -177,7 +177,3 @@ class TestScratchpad:
         assert len(batched_sink.events) == 2 * len(addrs)
         with pytest.raises(ScratchpadError):
             batched.read_elements([4095], 2, False)
-
-    def test_size_must_be_multiple_of_width(self):
-        with pytest.raises(ValueError):
-            Scratchpad(100, 64)

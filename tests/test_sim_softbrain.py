@@ -16,7 +16,6 @@ from repro.core.dfg import DfgBuilder, parse_dfg
 from repro.core.isa import StreamProgram
 from repro.sim import (
     MemorySystem,
-    SimStats,
     SimulationDeadlock,
     SimulationLimit,
     SoftbrainParams,
@@ -340,7 +339,7 @@ class TestTimingSanity:
         with pytest.raises(SimulationLimit):
             sim.run()
         assert 0 < sim.stats.instances_fired < 64
-        assert (SimStats.from_events(sink.events).fu_activity
+        assert (MetricsRegistry.from_events(sink.events).fu_activity
                 == sim.stats.fu_activity)
         assert sum(sim.stats.fu_activity.values()) == sim.stats.ops_executed
 

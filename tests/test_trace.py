@@ -8,7 +8,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.sim import MemorySystem, SoftbrainParams, run_multi_unit
+from repro.sim import MemorySystem, run_multi_unit, softbrain
 from repro.sim.stats import SimStats
 from repro.trace import (
     EVENT_SCHEMAS,
@@ -28,9 +28,9 @@ from repro.workloads.common import run_and_verify
 from repro.workloads.machsuite import MACHSUITE
 
 
-def _run(name="gemm", trace=None, params=None):
+def _run(name="gemm", trace=None):
     built = MACHSUITE[name][0]()
-    return run_and_verify(built, params=params, trace=trace)
+    return run_and_verify(built, trace=trace)
 
 
 @pytest.fixture(scope="module")
@@ -189,18 +189,15 @@ class TestReconciliation:
 
     def test_reconcile_reports_mismatches(self, gemm_capture):
         _, metrics, result = gemm_capture
-        broken = SimStats.from_events([])
+        broken = SimStats()
         mismatches = metrics.reconcile(broken)
         assert "instances_fired" in mismatches
 
     def test_simstats_from_events(self, gemm_capture):
         events, _, result = gemm_capture
-        rebuilt = SimStats.from_events(events)
-        for field in ("instances_fired", "ops_executed", "fu_activity",
-                      "engine_busy", "commands_issued", "config_loads",
-                      "cgra_stall_no_input", "cgra_stall_no_output_room"):
-            assert getattr(rebuilt, field) == getattr(result.stats, field)
-        assert rebuilt.cycles <= result.stats.cycles + 1
+        replayed = MetricsRegistry.from_events(events)
+        assert replayed.reconcile(result.stats) == {}
+        assert replayed.last_cycle <= result.stats.cycles
 
     def test_memory_totals_match(self, gemm_capture):
         _, metrics, result = gemm_capture
@@ -229,13 +226,13 @@ class TestMetricsViews:
         text = json.dumps(metrics.to_dict())
         assert "stall_causes" in text
 
-    def test_sample_interval_param(self):
+    def test_sample_interval_param(self, monkeypatch):
         dense = ListSink()
-        params = SoftbrainParams(trace_sample_interval=8)
-        _run("backprop", trace=dense, params=params)
+        monkeypatch.setattr(softbrain, "PORT_SAMPLE_INTERVAL", 8)
+        _run("backprop", trace=dense)
         sparse = ListSink()
-        params = SoftbrainParams(trace_sample_interval=512)
-        _run("backprop", trace=sparse, params=params)
+        monkeypatch.setattr(softbrain, "PORT_SAMPLE_INTERVAL", 512)
+        _run("backprop", trace=sparse)
         count = lambda s: sum(e.kind == "port.sample" for e in s.events)
         assert count(dense) > count(sparse)
 
