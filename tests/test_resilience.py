@@ -303,9 +303,22 @@ def _deadlock_dump(units=1, max_cycles=None):
     return info.value
 
 
+def _illegal_dump():
+    """The SimError of ``copy_workload`` with the top opcode bit of its
+    ``SD_Mem_Port`` word flipped: the decoder's unknown-opcode path."""
+    program, fabric, memory, _data = copy_workload(8)
+    injector = FaultInjector(FaultPlan(
+        "illegal", [FaultSpec("cmd.illegal", at=1, arg=7)]))
+    with pytest.raises(IllegalCommandError) as info:
+        run_program(program, fabric=fabric, memory=memory,
+                    faults=injector, trace=RingSink(capacity=8))
+    return info.value
+
+
 CRASH_DUMPS = {
     "crash-deadlock": lambda: _deadlock_dump(),
     "crash-deadlock-2unit": lambda: _deadlock_dump(units=2),
+    "crash-illegal": _illegal_dump,
     "crash-limit": lambda: _deadlock_dump(max_cycles=100),
 }
 
