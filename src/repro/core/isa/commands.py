@@ -61,12 +61,20 @@ class Command:
     * ``scratch_counter`` names the outstanding-scratchpad counter
       (``scratch_rd`` / ``scratch_wr``) the command holds while it runs;
       on a scratch barrier it names the counter the barrier waits to
-      drain; ``""`` elsewhere.
+      drain; ``""`` elsewhere;
+    * ``OPCODE`` is the command's opcode byte and ``LAYOUT`` its
+      ``(field, codec)`` pairs in field order, which
+      :mod:`repro.core.isa.encoding` reads to encode and decode it;
+    * ``PORTS`` lists ``(field, role)`` for each port the command uses
+      (see :func:`port_uses`).
     """
 
     engine: ClassVar[str]
     instruction_count: ClassVar[int] = 2
     scratch_counter: ClassVar[str] = ""
+    OPCODE: ClassVar[int]
+    LAYOUT: ClassVar[Tuple[Tuple[str, str], ...]] = ()
+    PORTS: ClassVar[Tuple[Tuple[str, str], ...]] = ()
 
 
 # -- configuration ------------------------------------------------------------
@@ -77,6 +85,8 @@ class SDConfig(Command):
 
     engine = "mse_read"
     instruction_count = 1
+    OPCODE = 0x01
+    LAYOUT = (("address", "u64"), ("size", "u32"))
 
     address: int
     size: int
@@ -89,6 +99,9 @@ class SDMemPort(Command):
     """``SD_Mem_Port``: read memory with an affine pattern into a port."""
 
     engine = "mse_read"
+    OPCODE = 0x02
+    LAYOUT = (("pattern", "pattern"), ("dest", "port"))
+    PORTS = (("dest", "w"),)
 
     pattern: Affine2D
     dest: PortRef
@@ -105,6 +118,8 @@ class SDMemScratch(Command):
     engine = "mse_read"
     instruction_count = 3
     scratch_counter = "scratch_wr"
+    OPCODE = 0x03
+    LAYOUT = (("pattern", "pattern"), ("scratch_addr", "u32"))
 
     pattern: Affine2D
     scratch_addr: int
@@ -116,6 +131,9 @@ class SDScratchPort(Command):
 
     engine = "sse"
     scratch_counter = "scratch_rd"
+    OPCODE = 0x04
+    LAYOUT = (("pattern", "pattern"), ("dest", "port"))
+    PORTS = (("dest", "w"),)
 
     pattern: Affine2D
     dest: PortRef
@@ -135,6 +153,9 @@ class SDConstPort(Command):
 
     engine = "rse"
     instruction_count = 1
+    OPCODE = 0x05
+    LAYOUT = (("value", "u64"), ("num_elements", "u32"), ("dest", "port"))
+    PORTS = (("dest", "w"),)
 
     value: int
     num_elements: int
@@ -153,6 +174,9 @@ class SDCleanPort(Command):
 
     engine = "rse"
     instruction_count = 1
+    OPCODE = 0x06
+    LAYOUT = (("num_elements", "u32"), ("source", "port"))
+    PORTS = (("source", "r"),)
 
     num_elements: int
     source: PortRef
@@ -169,6 +193,9 @@ class SDPortPort(Command):
     """``SD_Port_Port``: recurrence stream, output port -> input port."""
 
     engine = "rse"
+    OPCODE = 0x07
+    LAYOUT = (("source", "port"), ("num_elements", "u32"), ("dest", "port"))
+    PORTS = (("source", "r"), ("dest", "w"))
 
     source: PortRef
     num_elements: int
@@ -189,6 +216,10 @@ class SDPortScratch(Command):
 
     engine = "sse"
     scratch_counter = "scratch_wr"
+    OPCODE = 0x08
+    LAYOUT = (("source", "port"), ("num_elements", "u32"),
+              ("scratch_addr", "u32"), ("elem_bytes", "u8"))
+    PORTS = (("source", "r"),)
 
     source: PortRef
     num_elements: int
@@ -198,6 +229,8 @@ class SDPortScratch(Command):
     def __post_init__(self) -> None:
         if self.source.kind != "out":
             raise ValueError("SD_Port_Scratch source must be an output port")
+        if self.num_elements <= 0:
+            raise ValueError("num_elements must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,6 +239,9 @@ class SDPortMem(Command):
 
     engine = "mse_write"
     instruction_count = 3
+    OPCODE = 0x09
+    LAYOUT = (("source", "port"), ("pattern", "pattern"))
+    PORTS = (("source", "r"),)
 
     source: PortRef
     pattern: Affine2D
@@ -227,6 +263,11 @@ class SDIndPortPort(Command):
 
     engine = "mse_read"
     instruction_count = 3
+    OPCODE = 0x0A
+    LAYOUT = (("index_port", "port"), ("offset_addr", "u64"), ("dest", "port"),
+              ("num_elements", "u32"), ("elem_bytes", "u8"),
+              ("index_scale", "u8"), ("signed", "bool"))
+    PORTS = (("index_port", "r"), ("dest", "w"))
 
     index_port: PortRef
     offset_addr: int
@@ -255,6 +296,11 @@ class SDIndPortMem(Command):
 
     engine = "mse_write"
     instruction_count = 3
+    OPCODE = 0x0B
+    LAYOUT = (("index_port", "port"), ("source", "port"),
+              ("offset_addr", "u64"), ("num_elements", "u32"),
+              ("elem_bytes", "u8"), ("index_scale", "u8"))
+    PORTS = (("index_port", "r"), ("source", "r"))
 
     index_port: PortRef
     source: PortRef
@@ -281,6 +327,7 @@ class SDBarrierScratchRd(Command):
     engine = "dispatch"
     instruction_count = 1
     scratch_counter = "scratch_rd"
+    OPCODE = 0x0C
 
 
 @dataclass(frozen=True)
@@ -290,6 +337,7 @@ class SDBarrierScratchWr(Command):
     engine = "dispatch"
     instruction_count = 1
     scratch_counter = "scratch_wr"
+    OPCODE = 0x0D
 
 
 @dataclass(frozen=True)
@@ -298,6 +346,7 @@ class SDBarrierAll(Command):
 
     engine = "dispatch"
     instruction_count = 1
+    OPCODE = 0x0E
 
 
 BARRIER_TYPES = (SDBarrierScratchRd, SDBarrierScratchWr, SDBarrierAll)
@@ -317,16 +366,5 @@ def port_uses(command: Command) -> Tuple[Tuple[PortRef, str], ...]:
     pair, and what lets ``SD_Clean`` drain an output port while the CGRA
     fills it.
     """
-    if isinstance(command, (SDMemPort, SDScratchPort, SDConstPort)):
-        return ((command.dest, "w"),)
-    if isinstance(command, SDCleanPort):
-        return ((command.source, "r"),)
-    if isinstance(command, SDPortPort):
-        return ((command.source, "r"), (command.dest, "w"))
-    if isinstance(command, (SDPortScratch, SDPortMem)):
-        return ((command.source, "r"),)
-    if isinstance(command, SDIndPortPort):
-        return ((command.index_port, "r"), (command.dest, "w"))
-    if isinstance(command, SDIndPortMem):
-        return ((command.index_port, "r"), (command.source, "r"))
-    return ()
+    return tuple([(getattr(command, name), role)
+                  for name, role in command.PORTS])

@@ -1,10 +1,12 @@
 """Binary encoding of stream-dataflow commands.
 
-The paper embeds stream commands into a fixed-width RISC ISA as 1-3
-instructions each (Section 3.3).  This codec defines a concrete byte-level
-layout — opcode byte plus little-endian fields — so programs can be stored,
-hashed and round-tripped; ``Command.instruction_count`` reflects how many
-32-bit instruction slots the encoded form occupies on the control core.
+A storage and bit-flip format: programs are stored, hashed and
+round-tripped through it, and ``cmd.illegal`` faults flip its bits.  An
+item encodes as its ``OPCODE`` byte followed by each field of its
+``LAYOUT`` (see :class:`~repro.core.isa.commands.Command`) in order,
+little-endian with no padding.  The byte length is not an instruction
+count: the 1-3 control-core instructions per command
+(``Command.instruction_count``) come from Table 2 of the paper.
 """
 
 from __future__ import annotations
@@ -12,248 +14,85 @@ from __future__ import annotations
 import struct
 from typing import List, Tuple
 
-from .commands import (
-    Command,
-    PortRef,
-    SDBarrierAll,
-    SDBarrierScratchRd,
-    SDBarrierScratchWr,
-    SDCleanPort,
-    SDConfig,
-    SDConstPort,
-    SDIndPortMem,
-    SDIndPortPort,
-    SDMemPort,
-    SDMemScratch,
-    SDPortMem,
-    SDPortPort,
-    SDPortScratch,
-    SDScratchPort,
-)
+from .commands import Command, PortRef
 from .patterns import Affine2D
 from .program import HostCompute, ProgramItem
 
 
 class EncodingError(ValueError):
-    """Raised on malformed byte streams or unknown opcodes."""
+    """Raised on malformed byte streams, unknown opcodes and field values
+    the encoding cannot hold."""
 
 
-_PORT_KINDS = {"in": 0, "out": 1, "ind": 2}
-_PORT_KIND_NAMES = {v: k for k, v in _PORT_KINDS.items()}
-
-_PATTERN_FMT = "<QIIIBB"  # start, access_size, stride, num_strides, elem_bytes, signed
+_PORT_KINDS = ("in", "out", "ind")
 
 
-def _pack_port(port: PortRef) -> bytes:
-    return struct.pack("<BB", _PORT_KINDS[port.kind], port.port_id)
-
-
-def _unpack_port(data: bytes, offset: int) -> Tuple[PortRef, int]:
-    kind, port_id = struct.unpack_from("<BB", data, offset)
-    if kind not in _PORT_KIND_NAMES:
+def _decode_port(kind: int, port_id: int) -> PortRef:
+    if kind >= len(_PORT_KINDS):
         raise EncodingError(f"bad port kind byte {kind}")
-    return PortRef(_PORT_KIND_NAMES[kind], port_id), offset + 2
+    return PortRef(_PORT_KINDS[kind], port_id)
 
 
-def _pack_pattern(p: Affine2D) -> bytes:
-    return struct.pack(
-        _PATTERN_FMT,
-        p.start,
-        p.access_size,
-        p.stride,
-        p.num_strides,
-        p.elem_bytes,
-        int(p.signed),
-    )
+def _scalar(fmt: str):
+    return struct.Struct(fmt), lambda value: (value,), lambda value: value
 
 
-def _unpack_pattern(data: bytes, offset: int) -> Tuple[Affine2D, int]:
-    start, access, stride, n, elem, signed = struct.unpack_from(
-        _PATTERN_FMT, data, offset
-    )
-    return (
-        Affine2D(start, access, stride, n, elem, bool(signed)),
-        offset + struct.calcsize(_PATTERN_FMT),
-    )
+#: codec -> (struct, field value -> packed values, unpacked values -> value)
+_CODECS = {
+    "u8": _scalar("<B"),
+    "u32": _scalar("<I"),
+    "u64": _scalar("<Q"),
+    "bool": (struct.Struct("<B"), lambda flag: (int(flag),), bool),
+    "port": (
+        struct.Struct("<BB"),
+        lambda port: (_PORT_KINDS.index(port.kind), port.port_id),
+        _decode_port,
+    ),
+    "pattern": (
+        # start, access_size, stride, num_strides, elem_bytes, signed
+        struct.Struct("<QIIIBB"),
+        lambda p: (p.start, p.access_size, p.stride, p.num_strides,
+                   p.elem_bytes, int(p.signed)),
+        lambda *values: Affine2D(*values[:5], bool(values[5])),
+    ),
+}
 
-
-OP_HOST = 0x00
-OP_CONFIG = 0x01
-OP_MEM_PORT = 0x02
-OP_MEM_SCRATCH = 0x03
-OP_SCRATCH_PORT = 0x04
-OP_CONST_PORT = 0x05
-OP_CLEAN_PORT = 0x06
-OP_PORT_PORT = 0x07
-OP_PORT_SCRATCH = 0x08
-OP_PORT_MEM = 0x09
-OP_INDPORT_PORT = 0x0A
-OP_INDPORT_MEM = 0x0B
-OP_BARRIER_SCRATCH_RD = 0x0C
-OP_BARRIER_SCRATCH_WR = 0x0D
-OP_BARRIER_ALL = 0x0E
+_BY_OPCODE = {cls.OPCODE: cls for cls in (HostCompute, *Command.__subclasses__())}
 
 
 def encode_item(item: ProgramItem) -> bytes:
     """Encode one command (or host-compute marker) to bytes."""
-    if isinstance(item, HostCompute):
-        return struct.pack("<BI", OP_HOST, item.cycles)
-    if isinstance(item, SDConfig):
-        return struct.pack("<BQI", OP_CONFIG, item.address, item.size)
-    if isinstance(item, SDMemPort):
-        return (
-            struct.pack("<B", OP_MEM_PORT)
-            + _pack_pattern(item.pattern)
-            + _pack_port(item.dest)
-        )
-    if isinstance(item, SDMemScratch):
-        return (
-            struct.pack("<B", OP_MEM_SCRATCH)
-            + _pack_pattern(item.pattern)
-            + struct.pack("<I", item.scratch_addr)
-        )
-    if isinstance(item, SDScratchPort):
-        return (
-            struct.pack("<B", OP_SCRATCH_PORT)
-            + _pack_pattern(item.pattern)
-            + _pack_port(item.dest)
-        )
-    if isinstance(item, SDConstPort):
-        return (
-            struct.pack("<BQI", OP_CONST_PORT, item.value, item.num_elements)
-            + _pack_port(item.dest)
-        )
-    if isinstance(item, SDCleanPort):
-        return (
-            struct.pack("<BI", OP_CLEAN_PORT, item.num_elements)
-            + _pack_port(item.source)
-        )
-    if isinstance(item, SDPortPort):
-        return (
-            struct.pack("<B", OP_PORT_PORT)
-            + _pack_port(item.source)
-            + struct.pack("<I", item.num_elements)
-            + _pack_port(item.dest)
-        )
-    if isinstance(item, SDPortScratch):
-        return (
-            struct.pack("<B", OP_PORT_SCRATCH)
-            + _pack_port(item.source)
-            + struct.pack("<IIB", item.num_elements, item.scratch_addr, item.elem_bytes)
-        )
-    if isinstance(item, SDPortMem):
-        return (
-            struct.pack("<B", OP_PORT_MEM)
-            + _pack_port(item.source)
-            + _pack_pattern(item.pattern)
-        )
-    if isinstance(item, SDIndPortPort):
-        return (
-            struct.pack("<B", OP_INDPORT_PORT)
-            + _pack_port(item.index_port)
-            + struct.pack("<Q", item.offset_addr)
-            + _pack_port(item.dest)
-            + struct.pack(
-                "<IBBB",
-                item.num_elements,
-                item.elem_bytes,
-                item.index_scale,
-                int(item.signed),
-            )
-        )
-    if isinstance(item, SDIndPortMem):
-        return (
-            struct.pack("<B", OP_INDPORT_MEM)
-            + _pack_port(item.index_port)
-            + _pack_port(item.source)
-            + struct.pack(
-                "<QIBB",
-                item.offset_addr,
-                item.num_elements,
-                item.elem_bytes,
-                item.index_scale,
-            )
-        )
-    if isinstance(item, SDBarrierScratchRd):
-        return struct.pack("<B", OP_BARRIER_SCRATCH_RD)
-    if isinstance(item, SDBarrierScratchWr):
-        return struct.pack("<B", OP_BARRIER_SCRATCH_WR)
-    if isinstance(item, SDBarrierAll):
-        return struct.pack("<B", OP_BARRIER_ALL)
-    raise EncodingError(f"cannot encode {type(item).__name__}")
+    name = type(item).__name__
+    if getattr(item, "OPCODE", None) is None:
+        raise EncodingError(f"cannot encode {name}")
+    parts = [bytes([item.OPCODE])]
+    for field, codec in item.LAYOUT:
+        fmt, pack, _ = _CODECS[codec]
+        try:
+            parts.append(fmt.pack(*pack(getattr(item, field))))
+        except struct.error as exc:
+            raise EncodingError(f"cannot encode {name}.{field}: {exc}") from None
+    return b"".join(parts)
 
 
 def decode_item(data: bytes, offset: int = 0) -> Tuple[ProgramItem, int]:
     """Decode one item starting at ``offset``; returns (item, next offset)."""
     if offset >= len(data):
         raise EncodingError("decode past end of buffer")
-    opcode = data[offset]
+    cls = _BY_OPCODE.get(data[offset])
+    if cls is None:
+        raise EncodingError(f"unknown opcode 0x{data[offset]:02x}")
     offset += 1
-    if opcode == OP_HOST:
-        (cycles,) = struct.unpack_from("<I", data, offset)
-        return HostCompute(cycles), offset + 4
-    if opcode == OP_CONFIG:
-        address, size = struct.unpack_from("<QI", data, offset)
-        return SDConfig(address, size), offset + 12
-    if opcode == OP_MEM_PORT:
-        pattern, offset = _unpack_pattern(data, offset)
-        dest, offset = _unpack_port(data, offset)
-        return SDMemPort(pattern, dest), offset
-    if opcode == OP_MEM_SCRATCH:
-        pattern, offset = _unpack_pattern(data, offset)
-        (scratch_addr,) = struct.unpack_from("<I", data, offset)
-        return SDMemScratch(pattern, scratch_addr), offset + 4
-    if opcode == OP_SCRATCH_PORT:
-        pattern, offset = _unpack_pattern(data, offset)
-        dest, offset = _unpack_port(data, offset)
-        return SDScratchPort(pattern, dest), offset
-    if opcode == OP_CONST_PORT:
-        value, num = struct.unpack_from("<QI", data, offset)
-        dest, offset = _unpack_port(data, offset + 12)
-        return SDConstPort(value, num, dest), offset
-    if opcode == OP_CLEAN_PORT:
-        (num,) = struct.unpack_from("<I", data, offset)
-        source, offset = _unpack_port(data, offset + 4)
-        return SDCleanPort(num, source), offset
-    if opcode == OP_PORT_PORT:
-        source, offset = _unpack_port(data, offset)
-        (num,) = struct.unpack_from("<I", data, offset)
-        dest, offset = _unpack_port(data, offset + 4)
-        return SDPortPort(source, num, dest), offset
-    if opcode == OP_PORT_SCRATCH:
-        source, offset = _unpack_port(data, offset)
-        num, scratch_addr, elem = struct.unpack_from("<IIB", data, offset)
-        return SDPortScratch(source, num, scratch_addr, elem), offset + 9
-    if opcode == OP_PORT_MEM:
-        source, offset = _unpack_port(data, offset)
-        pattern, offset = _unpack_pattern(data, offset)
-        return SDPortMem(source, pattern), offset
-    if opcode == OP_INDPORT_PORT:
-        index_port, offset = _unpack_port(data, offset)
-        (offset_addr,) = struct.unpack_from("<Q", data, offset)
-        dest, offset = _unpack_port(data, offset + 8)
-        num, elem, scale, signed = struct.unpack_from("<IBBB", data, offset)
-        return (
-            SDIndPortPort(
-                index_port, offset_addr, dest, num, elem, scale, bool(signed)
-            ),
-            offset + 7,
-        )
-    if opcode == OP_INDPORT_MEM:
-        index_port, offset = _unpack_port(data, offset)
-        source, offset = _unpack_port(data, offset)
-        offset_addr, num, elem, scale = struct.unpack_from("<QIBB", data, offset)
-        return (
-            SDIndPortMem(index_port, source, offset_addr, num, elem, scale),
-            offset + 14,
-        )
-    if opcode == OP_BARRIER_SCRATCH_RD:
-        return SDBarrierScratchRd(), offset
-    if opcode == OP_BARRIER_SCRATCH_WR:
-        return SDBarrierScratchWr(), offset
-    if opcode == OP_BARRIER_ALL:
-        return SDBarrierAll(), offset
-    raise EncodingError(f"unknown opcode 0x{opcode:02x}")
+    values = []
+    for field, codec in cls.LAYOUT:
+        fmt, _, unpack = _CODECS[codec]
+        if offset + fmt.size > len(data):
+            raise EncodingError(
+                f"truncated {cls.__name__}: field {field} needs {fmt.size} "
+                f"bytes at offset {offset}, buffer has {len(data)}")
+        values.append(unpack(*fmt.unpack_from(data, offset)))
+        offset += fmt.size
+    return cls(*values), offset
 
 
 def encode_items(items: List[ProgramItem]) -> bytes:

@@ -47,7 +47,15 @@ CONFIG_BASE_ADDR = 0xC000_0000
 
 @dataclass(frozen=True)
 class HostCompute:
-    """Control-core work between commands, in cycles."""
+    """Control-core work between commands, in cycles.
+
+    Not a stream command, but it declares ``OPCODE``/``LAYOUT``/``PORTS``
+    like one (see :class:`Command`), so whole programs encode.
+    """
+
+    OPCODE = 0x00
+    LAYOUT = (("cycles", "u32"),)
+    PORTS = ()
 
     cycles: int
 

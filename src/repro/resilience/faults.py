@@ -315,7 +315,7 @@ class FaultInjector:
                    f"{bit} flipped")
         try:
             decoded, _ = decode_item(bytes(data))
-        except Exception as exc:  # EncodingError, struct.error, ValueError
+        except ValueError as exc:  # EncodingError, PatternError, field checks
             raise IllegalCommandError(
                 f"illegal command word at program index {index}: "
                 f"{type(item).__name__} with bit {bit} flipped does not "

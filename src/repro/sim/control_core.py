@@ -4,7 +4,7 @@ The core's only job in an accelerated phase is to run the stream
 coordination program — a handful of instructions per command (Table 2
 encodes each as 1-3 RISC instructions) plus whatever address arithmetic the
 program models with ``host()`` items.  The core is single-issue: generating
-a command whose encoding occupies *k* instruction slots takes *k* cycles,
+a command that Table 2 encodes as *k* instructions takes *k* cycles,
 after which the command enters the dispatcher queue (unless the queue is
 stalled by ``SD_Barrier_All`` or full, in which case the core stalls too —
 Section 4.2's core interface).

@@ -11,49 +11,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from ..core.isa.commands import (
-    SDConstPort,
-    SDIndPortMem,
-    SDIndPortPort,
-    SDMemPort,
-    SDMemScratch,
-    SDPortMem,
-    SDPortPort,
-    SDScratchPort,
-)
+from ..core.isa.commands import port_uses
 from .common import BuiltWorkload
+
+
+#: memory stream engine -> the Table 4 label of its streams that use an
+#: indirect port (as address source, or as the destination of a load)
+_INDIRECT = {"mse_read": "Indirect Loads", "mse_write": "Indirect Stores"}
 
 
 def stream_patterns(built: BuiltWorkload) -> Set[str]:
     """Classify every stream command in a built workload's program."""
     patterns: Set[str] = set()
+    accumulating = any(
+        inst.is_accumulator for inst in _bound_dfg_instructions(built)
+    )
     for command in built.program.commands:
-        if isinstance(command, (SDMemPort, SDMemScratch, SDScratchPort, SDPortMem)):
-            kind = command.pattern.classify()
-            if kind in ("linear",):
-                patterns.add("Linear")
-            elif kind == "strided":
-                patterns.add("Strided")
-            elif kind == "overlapped":
-                patterns.add("Overlapped")
-            elif kind == "repeating":
-                patterns.add("Repeating")
-            if isinstance(command, SDMemPort) and command.dest.kind == "ind":
-                patterns.add("Indirect Loads")
-        if isinstance(command, SDIndPortPort):
-            patterns.add("Indirect Loads")
-        if isinstance(command, SDIndPortMem):
-            patterns.add("Indirect Stores")
-        if isinstance(command, SDPortPort):
+        pattern = getattr(command, "pattern", None)
+        if pattern is not None:
+            patterns.add(pattern.classify().capitalize())
+        uses = port_uses(command)
+        if command.engine in _INDIRECT and any(
+            port.kind == "ind" for port, _role in uses
+        ):
+            patterns.add(_INDIRECT[command.engine])
+        roles = {role for _port, role in uses}
+        # Port-to-port streams carry recurrences; reset-constant streams
+        # (write-only) drive in-fabric accumulators, the architecture's
+        # recurrence mechanism for reductions.
+        if command.engine == "rse" and (
+            roles == {"r", "w"} or (roles == {"w"} and accumulating)
+        ):
             patterns.add("Recurrence")
-        if isinstance(command, SDConstPort):
-            # Reset-constant streams drive in-fabric accumulators, the
-            # architecture's recurrence mechanism for reductions.
-            if any(
-                inst.is_accumulator
-                for inst in _bound_dfg_instructions(built)
-            ):
-                patterns.add("Recurrence")
     # Multi-access (non-linear) affine patterns count as "Affine".
     if patterns & {"Strided", "Overlapped", "Repeating"}:
         patterns.add("Affine")

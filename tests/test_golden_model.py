@@ -247,6 +247,7 @@ class TestGoldenModelEdgeCases:
             SDCleanPort,
             SDConstPort,
             SDPortPort,
+            SDPortScratch,
             in_port,
             out_port,
         )
@@ -258,6 +259,8 @@ class TestGoldenModelEdgeCases:
             SDCleanPort(0, out_port(0))
         with pytest.raises(ValueError):
             SDPortPort(out_port(0), 0, in_port(1))
+        with pytest.raises(ValueError):
+            SDPortScratch(out_port(0), 0, 0)
         with pytest.raises(PatternError):
             Affine2D(0, 8, 8, 0, 8)  # zero strides
         with pytest.raises(PatternError):
