@@ -18,6 +18,7 @@ Two presets mirror the paper's evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .fu import fu_for_name
@@ -102,6 +103,24 @@ class Fabric:
 
     def pes_supporting(self, mnemonic: str) -> List[PeSpec]:
         return [pe for pe in self.pes.values() if pe.supports(mnemonic)]
+
+    @cached_property
+    def coords_supporting(self) -> Dict[str, Tuple[Coord, ...]]:
+        """``op -> coords of the PEs supporting it``, in :attr:`pes` order.
+
+        Lists every op some FU supports; an op none supports is absent.
+        Built on first use; a fabric's PEs never change after construction.
+        """
+        coords: Dict[str, List[Coord]] = {}
+        for coord, pe in self.pes.items():
+            for op in pe.fu.ops:
+                coords.setdefault(op, []).append(coord)
+        return {op: tuple(op_coords) for op, op_coords in coords.items()}
+
+    @cached_property
+    def fu_richness(self) -> Dict[Coord, int]:
+        """``coord -> number of ops its FU supports``, built on first use."""
+        return {coord: len(pe.fu.ops) for coord, pe in self.pes.items()}
 
     def ports_in(self, direction: str) -> List[HwVectorPort]:
         if direction == "in":

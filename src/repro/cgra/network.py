@@ -65,6 +65,15 @@ class MeshNetwork:
             for coord in self.coords()
         }
 
+    @cached_property
+    def distance(self) -> Dict[Coord, Dict[Coord, int]]:
+        """``distance[a][b]`` is :meth:`manhattan` ``(a, b)``, for every pair.
+
+        Built on first use, like :attr:`neighbor_links`.
+        """
+        coords = list(self.coords())
+        return {a: {b: self.manhattan(a, b) for b in coords} for a in coords}
+
     def links(self) -> Iterator[Link]:
         """Every directed switch-to-switch link."""
         for coord in self.coords():

@@ -58,7 +58,6 @@ def route_value(
     occupancy = state.occupancy
     channels = mesh.channels
     neighbor_links = mesh.neighbor_links
-    inf = float("inf")
     # 0-1 BFS: reused links cost 0, fresh channel claims cost 1; a link
     # with every channel taken by other values is impassable.
     best: Dict[Coord, int] = {src: 0}
@@ -66,27 +65,30 @@ def route_value(
     queue: deque = deque([(0, src)])
     while queue:
         cost, coord = queue.popleft()
-        if cost > best.get(coord, inf):
+        if cost > best[coord]:
             continue
         if coord == dst:
             break
         for nbr, link in neighbor_links[coord]:
-            users = occupancy.get(link, ())
-            if producer in users:
+            users = occupancy.get(link)
+            if users is None:
+                step = 1  # every link has at least one channel
+            elif producer in users:
                 step = 0
             elif len(users) < channels:
                 step = 1
             else:
                 continue
             new_cost = cost + step
-            if new_cost < best.get(nbr, inf):
+            known = best.get(nbr)
+            if known is None or new_cost < known:
                 best[nbr] = new_cost
                 parent[nbr] = link
                 if step == 0:
                     queue.appendleft((new_cost, nbr))
                 else:
                     queue.append((new_cost, nbr))
-    if dst not in parent and src != dst:
+    if dst not in parent:
         raise RoutingError(
             f"no route for {producer!r} from {src} to {dst} "
             f"(channels={mesh.channels})"
