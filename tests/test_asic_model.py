@@ -11,6 +11,7 @@ from repro.baselines.asic import (
     AsicDesign,
     AsicEstimate,
     Ddg,
+    Evaluator,
     ScheduleResult,
     TraceBuilder,
     estimate_power_area,
@@ -148,6 +149,36 @@ class TestTraceBuilder:
         assert t.select(t.const(0), a, b).value == 3
         assert t.shift_right(a, 1).value == 5
         assert t.special(lambda v: v + 100, a).value == 110
+
+    def test_divide_is_exact_beyond_float_precision(self):
+        # Truncating division on ints: |x| > 2^53 does not round through
+        # a float.
+        big = 2**60 + 7
+        for x, y, q in [(big, 3, big // 3), (-big, 3, -(big // 3)),
+                        (big, -3, -(big // 3)), (-7, 2, -3), (5, 0, -1)]:
+            t = TraceBuilder("div")
+            assert t.div(t.const(x), t.const(y)).value == q
+            assert Evaluator().div(x, y) == q
+
+    def test_evaluator_computes_the_traced_values(self):
+        ev, t = Evaluator(), TraceBuilder("same")
+        for a, b in [(10, 3), (-7, 2), (4, 4), (0, -5)]:
+            for op in ("add", "sub", "mul", "div", "minimum", "maximum",
+                       "compare_eq"):
+                traced = getattr(t, op)(t.const(a), t.const(b))
+                assert traced.value == getattr(ev, op)(a, b), op
+            assert (t.select(t.const(a), t.const(a), t.const(b)).value
+                    == ev.select(a, a, b))
+            assert t.shift_right(t.const(a), 1).value == ev.shift_right(a, 1)
+
+    def test_loaded_value_addresses_a_load(self):
+        t = TraceBuilder("gather")
+        t.array("idx", [2])
+        t.array("a", [10, 20, 30])
+        got = t.load("a", t.load("idx", 0))
+        assert got.value == 30
+        node = t.ddg.nodes[got.node]
+        assert type(node.index) is int and node.index == 2
 
     def test_critical_path(self):
         t = TraceBuilder("chain")
