@@ -33,6 +33,13 @@ def _decode_port(kind: int, port_id: int) -> PortRef:
     return PortRef(_PORT_KINDS[kind], port_id)
 
 
+def _decode_bool(byte: int) -> bool:
+    """Only 0 and 1 decode, so every flag has one encoding."""
+    if byte > 1:
+        raise EncodingError(f"bad bool byte {byte}")
+    return bool(byte)
+
+
 def _scalar(fmt: str):
     return struct.Struct(fmt), lambda value: (value,), lambda value: value
 
@@ -42,7 +49,7 @@ _CODECS = {
     "u8": _scalar("<B"),
     "u32": _scalar("<I"),
     "u64": _scalar("<Q"),
-    "bool": (struct.Struct("<B"), lambda flag: (int(flag),), bool),
+    "bool": (struct.Struct("<B"), lambda flag: (int(flag),), _decode_bool),
     "port": (
         struct.Struct("<BB"),
         lambda port: (_PORT_KINDS.index(port.kind), port.port_id),
@@ -53,7 +60,7 @@ _CODECS = {
         struct.Struct("<QIIIBB"),
         lambda p: (p.start, p.access_size, p.stride, p.num_strides,
                    p.elem_bytes, int(p.signed)),
-        lambda *values: Affine2D(*values[:5], bool(values[5])),
+        lambda *values: Affine2D(*values[:5], _decode_bool(values[5])),
     ),
 }
 

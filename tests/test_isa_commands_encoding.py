@@ -251,6 +251,25 @@ class TestEncoding:
             with pytest.raises(EncodingError):
                 decode_item(data[:end])
 
+    @pytest.mark.parametrize("item", ALL_COMMANDS, ids=lambda c: type(c).__name__)
+    def test_every_bit_flip_is_caught_or_changes_the_item(self, item):
+        data = encode_item(item)
+        for bit in range(len(data) * 8):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << bit % 8
+            try:
+                decoded, _ = decode_item(bytes(flipped))
+            except ValueError:
+                continue
+            assert decoded != item, f"bit {bit} decodes to the original"
+
+    def test_bool_bytes_other_than_0_and_1_are_rejected(self):
+        data = bytearray(encode_item(SDMemPort(pattern(signed=True), in_port(1))))
+        assert data[-3] == 1  # the pattern's signed byte, before the port
+        data[-3] = 2
+        with pytest.raises(EncodingError, match="bool"):
+            decode_item(bytes(data))
+
     def test_unencodable_values_are_encoding_errors(self):
         with pytest.raises(EncodingError, match="dest"):
             encode_item(SDMemPort(pattern(), in_port(256)))
