@@ -32,6 +32,9 @@ from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 N_NODES = 96
 N_EDGES = 384
 
+#: the seed ``build_bfs`` and ``bfs_ddg`` draw their graph from by default
+SEED = 15
+
 #: "unvisited" sentinel (large so min() is the discovery operator)
 UNVISITED = 1 << 40
 
@@ -107,7 +110,7 @@ def bfs_levels(incoming: List[List[int]]) -> Tuple[List[int], int]:
 
 
 def build_bfs(
-    fabric: Fabric = None, seed: int = 15, n: int = N_NODES, e: int = N_EDGES
+    fabric: Fabric = None, seed: int = SEED, n: int = N_NODES, e: int = N_EDGES
 ) -> BuiltWorkload:
     fabric = fabric or broadly_provisioned()
     incoming = bfs_inputs(seed, n, e)
@@ -174,7 +177,7 @@ def build_bfs(
     )
 
 
-def bfs_ddg(n: int = N_NODES, e: int = N_EDGES, seed: int = 15) -> Ddg:
+def bfs_ddg(n: int = N_NODES, e: int = N_EDGES, seed: int = SEED) -> Ddg:
     incoming = bfs_inputs(seed, n, e)
     _, depth = bfs_levels(incoming)
     return trace("bfs", bfs_kernel, incoming, depth)
@@ -185,7 +188,8 @@ def bfs_asic_base() -> AsicDesign:
 
 
 def bfs_census(n: int = N_NODES, e: int = N_EDGES) -> ScalarWorkload:
-    depth = 6  # typical for these graph parameters
+    # as many sweeps as the default graph takes to reach its fixpoint
+    _, depth = bfs_levels(bfs_inputs(SEED, n, e))
     work = e * depth
     return ScalarWorkload(
         name="bfs",
