@@ -90,8 +90,25 @@ class CampaignResult:
                 f"({counts})")
 
 
-def _classify(report, injector: FaultInjector):
-    """(classification, detail, failure_report_or_None) for one run."""
+def faulted_run(plan, fault_plan: FaultPlan, rng=None,
+                max_cycles: int = DEFAULT_MAX_CYCLES):
+    """``(report, injector)``: ``plan`` through the fuzz oracle, with
+    ``fault_plan`` injected into the cycle-level leg.
+
+    A fresh injector per run: :class:`FaultInjector` consumes its pending
+    specs, so a rerun (determinism check, shrinking) must not see a
+    drained plan.  ``rng`` is the oracle's mismatch sampler.
+    """
+    from ..fuzz.oracle import run_case
+
+    injector = FaultInjector(FaultPlan.from_dict(fault_plan.to_dict()))
+    params = SoftbrainParams(max_cycles=max_cycles)
+    return run_case(plan, rng=rng, faults=injector, params=params), injector
+
+
+def classify(report, injector: FaultInjector):
+    """(classification, detail, failure_report_or_None) for one faulted
+    run (see the module docstring)."""
     if report.ok:
         if injector.fired:
             return "benign", "oracle verified bit-identical result", None
@@ -131,7 +148,6 @@ def run_campaign(
 
     say = progress or (lambda _line: None)
     result = CampaignResult()
-    params = SoftbrainParams(max_cycles=max_cycles)
 
     for seed in seeds:
         for case_index in range(cases_per_seed):
@@ -147,8 +163,8 @@ def run_campaign(
                 continue
             window = max(2, baseline.sim_cycles)
             for kind in classes:
-                outcome = _run_one(run_case, plan, name, seed, kind, window,
-                                   params, dump_dir, check_determinism)
+                outcome = _run_one(plan, name, seed, kind, window,
+                                   max_cycles, dump_dir, check_determinism)
                 result.outcomes.append(outcome)
                 say(f"{name} {kind}: {outcome.classification} "
                     f"({outcome.detail})")
@@ -160,26 +176,20 @@ def _spec_for(seed: int, name: str, kind: str, window: int):
     return random_spec(rng, kind, window)
 
 
-def _run_one(run_case, plan, name: str, seed: int, kind: str, window: int,
-             params: SoftbrainParams, dump_dir: Optional[str],
+def _run_one(plan, name: str, seed: int, kind: str, window: int,
+             max_cycles: int, dump_dir: Optional[str],
              check_determinism: bool) -> CaseOutcome:
     spec = _spec_for(seed, name, kind, window)
     fault_plan = FaultPlan(f"{name}:{kind}", [spec])
-
-    def faulted_run():
-        injector = FaultInjector(FaultPlan.from_dict(fault_plan.to_dict()))
-        return run_case(plan, faults=injector, params=params), injector
-
-    report, injector = faulted_run()
-    classification, detail, failure_report = _classify(report, injector)
+    report, injector = faulted_run(plan, fault_plan, max_cycles=max_cycles)
+    classification, detail, failure_report = classify(report, injector)
     outcome = CaseOutcome(seed=seed, case=name, fault_kind=kind,
                           spec=spec.to_dict(),
                           classification=classification, detail=detail)
 
     if check_determinism:
-        report2, injector2 = faulted_run()
-        classification2, _detail2, failure_report2 = _classify(
-            report2, injector2)
+        classification2, _detail2, failure_report2 = classify(
+            *faulted_run(plan, fault_plan, max_cycles=max_cycles))
         same = classification2 == classification
         if same and failure_report is not None:
             same = failure_report2 is not None and (

@@ -228,6 +228,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"{len(corpus_paths())} corpus cases" in out
 
+    def test_fuzz_faults(self, capsys, tmp_path):
+        assert main(["fuzz", "--faults", "--seed", "0", "--count", "3",
+                     "--no-shrink", "--save-dir", str(tmp_path)]) == 0
+        assert "3 generated" in capsys.readouterr().out
+        assert not any(tmp_path.iterdir())
+
+    def test_fuzz_faults_reports_an_escape(self, capsys, tmp_path,
+                                           monkeypatch):
+        from repro.resilience import campaign
+
+        monkeypatch.setattr(campaign, "classify",
+                            lambda *_: ("undiagnosed", "no dump", None))
+        assert main(["fuzz", "--faults", "--seed", "0", "--count", "1",
+                     "--no-shrink", "--save-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAULT ESCAPED DIAGNOSTICS" in out
+        assert "  undiagnosed: no dump" in out
+        assert (tmp_path / "fuzz-0-0.json").exists()
+
     def test_fuzz_time_budget(self, capsys):
         assert main(["fuzz", "--count", "100000", "--seed", "2",
                      "--time-budget", "2"]) == 0
