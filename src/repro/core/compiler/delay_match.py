@@ -28,12 +28,10 @@ class DelaySolution:
 
     Attributes:
         extra_delay: cycles of programmed delay per edge.
-        fire_time: cycle each instruction fires (inputs injected at 0).
         latency: cycles from input-port release to the last output-port word.
     """
 
     extra_delay: Dict[EdgeKey, int]
-    fire_time: Dict[str, int]
     latency: int
 
 
@@ -60,7 +58,6 @@ def compute_delays(dfg: Dfg,
             ready[f"{port_name}.{lane}"] = 0
 
     extra_delay: Dict[EdgeKey, int] = {}
-    fire_time: Dict[str, int] = {}
 
     for inst in dfg.topological_order():
         arrivals: Dict[EdgeKey, int] = {}
@@ -80,7 +77,6 @@ def compute_delays(dfg: Dfg,
                     f"(max {MAX_INPUT_DELAY})"
                 )
             extra_delay[key] = needed
-        fire_time[inst.name] = fire
         ready[inst.name] = fire + inst.op.latency
 
     latency = 0
@@ -102,4 +98,4 @@ def compute_delays(dfg: Dfg,
             extra_delay[key] = needed
         latency = max(latency, port_exit)
 
-    return DelaySolution(extra_delay, fire_time, latency)
+    return DelaySolution(extra_delay, latency)

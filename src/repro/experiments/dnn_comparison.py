@@ -15,6 +15,7 @@ from typing import List, Optional
 from ..baselines.cpu import estimate_cpu_cycles
 from ..baselines.diannao import estimate_diannao_cycles
 from ..baselines.gpu import estimate_gpu_cycles
+from ..cgra.fabric import dnn_provisioned
 from ..power.model import estimate_power
 from ..sim.memory import MemoryParams, MemorySystem
 from ..sim.softbrain import RunResult, run_program
@@ -77,9 +78,6 @@ def dnn_comparison(layers: Optional[List[DnnLayer]] = None) -> List[DnnRow]:
         gpu = estimate_gpu_cycles(gpu_workload(layer))
         diannao = estimate_diannao_cycles(layer_cost(layer))
         result = run_softbrain_dnn(layer)
-        built_fabric = result  # clarity: power uses the run's stats
-        from ..cgra.fabric import dnn_provisioned
-
         power = estimate_power(result, dnn_provisioned()).total_mw * NUM_UNITS
         rows.append(
             DnnRow(

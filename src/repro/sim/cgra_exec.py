@@ -315,12 +315,7 @@ class CgraExecutor:
         ]
         # Per-firing cost bookkeeping, computed once.
         self.ops_per_instance = dfg.num_instructions
-        self.fu_ops_per_instance: Dict[str, int] = {}
-        for inst_name, coord in config.placement.items():
-            fu_name = config.fabric.pes[coord].fu.name
-            self.fu_ops_per_instance[fu_name] = (
-                self.fu_ops_per_instance.get(fu_name, 0) + 1
-            )
+        self.fu_ops_per_instance: Dict[str, int] = config.active_fus()
 
     @property
     def in_flight(self) -> int:
