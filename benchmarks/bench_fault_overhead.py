@@ -22,8 +22,7 @@ Run directly (``python -m pytest benchmarks/bench_fault_overhead.py``) to
 see the measured numbers.
 """
 
-import time
-
+from bench_trace_overhead import best_of_interleaved
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.workloads.common import run_and_verify
 from repro.workloads.machsuite import MACHSUITE
@@ -60,21 +59,6 @@ def _counting_injector():
     return injector, calls
 
 
-def _best_of_interleaved(repeats: int, runner_a, runner_b) -> tuple:
-    """Minimum wall time of each runner over ``repeats`` interleaved A/B
-    rounds; min filters interference spikes and interleaving makes slow
-    drift hit both runners equally."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        runner_a()
-        best_a = min(best_a, time.perf_counter() - started)
-        started = time.perf_counter()
-        runner_b()
-        best_b = min(best_b, time.perf_counter() - started)
-    return best_a, best_b
-
-
 def measure_fault_hook_overhead(workload: str = "gemm",
                                 repeats: int = 9) -> dict:
     """Measure the cost of an attached-but-idle injector on one workload.
@@ -97,7 +81,7 @@ def measure_fault_hook_overhead(workload: str = "gemm",
     idle_injector()
     cycles.clear()
 
-    base, hooked = _best_of_interleaved(repeats, no_injector, idle_injector)
+    base, hooked = best_of_interleaved(repeats, no_injector, idle_injector)
 
     counting, calls = _counting_injector()
     run_and_verify(builder(), faults=counting)
@@ -111,7 +95,7 @@ def measure_fault_hook_overhead(workload: str = "gemm",
 
 
 def test_idle_injector_does_zero_hook_work():
-    result = measure_fault_hook_overhead("gemm", repeats=3)
+    result = measure_fault_hook_overhead("gemm")
     assert result["cycles_match"], "idle injector changed simulated cycles"
     assert result["hook_calls"] == 0, (
         f"{result['hook_calls']} hook-method calls on the not-due path — "

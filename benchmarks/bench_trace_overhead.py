@@ -23,19 +23,23 @@ from repro.workloads.machsuite import MACHSUITE
 MAX_OVERHEAD = 0.05
 
 
-def _best_of(repeats: int, runner) -> float:
-    """Minimum wall time over ``repeats`` runs (min is the stable
-    statistic for interference-prone timing)."""
-    best = float("inf")
+def best_of_interleaved(repeats: int, runner_a, runner_b) -> tuple:
+    """Minimum wall time of each runner over ``repeats`` interleaved A/B
+    rounds; min filters interference spikes and interleaving makes slow
+    drift hit both runners equally."""
+    best_a = best_b = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        runner()
-        best = min(best, time.perf_counter() - started)
-    return best
+        runner_a()
+        best_a = min(best_a, time.perf_counter() - started)
+        started = time.perf_counter()
+        runner_b()
+        best_b = min(best_b, time.perf_counter() - started)
+    return best_a, best_b
 
 
 def measure_null_sink_overhead(workload: str = "gemm",
-                               repeats: int = 5) -> dict:
+                               repeats: int = 9) -> dict:
     """Time untraced vs NullSink-traced runs of one MachSuite workload.
 
     Returns ``{"untraced": s, "null_sink": s, "overhead": fraction,
@@ -56,8 +60,7 @@ def measure_null_sink_overhead(workload: str = "gemm",
     with_null_sink()
     cycles.clear()
 
-    base = _best_of(repeats, untraced)
-    traced = _best_of(repeats, with_null_sink)
+    base, traced = best_of_interleaved(repeats, untraced, with_null_sink)
     return {
         "untraced": base,
         "null_sink": traced,
@@ -67,7 +70,7 @@ def measure_null_sink_overhead(workload: str = "gemm",
 
 
 def test_null_sink_overhead_under_5_percent():
-    result = measure_null_sink_overhead("gemm", repeats=5)
+    result = measure_null_sink_overhead("gemm")
     assert result["cycles_match"], "NullSink changed simulated cycles"
     assert result["overhead"] < MAX_OVERHEAD, (
         f"NullSink overhead {result['overhead']:.1%} exceeds "

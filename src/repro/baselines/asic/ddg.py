@@ -19,6 +19,8 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.dfg.instructions import div_trunc
+
 #: op kind -> (latency cycles, dynamic energy pJ at 55 nm)
 OP_COSTS: Dict[str, Tuple[int, float]] = {
     "load": (2, 1.20),
@@ -115,14 +117,6 @@ class Ddg:
             start = max((finish[d] for d in node.deps), default=0)
             finish[node.node_id] = start + node.latency
         return max(finish, default=0)
-
-
-def div_trunc(a: int, b: int) -> int:
-    """The hardware's divide: truncate toward zero, divide-by-zero -> -1."""
-    if b == 0:
-        return -1
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
 
 
 class Evaluator:

@@ -11,6 +11,7 @@ that selection rule.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence
 
 from .ddg import Ddg
@@ -33,15 +34,7 @@ def explore_design_space(
     estimates: List[AsicEstimate] = []
     for unroll in unroll_factors:
         for partition in partition_factors:
-            design = AsicDesign(
-                unroll=unroll,
-                partition=partition,
-                base_alu=base.base_alu,
-                base_mul=base.base_mul,
-                base_div=base.base_div,
-                base_special=base.base_special,
-                mem_ports_per_partition=base.mem_ports_per_partition,
-            )
+            design = replace(base, unroll=unroll, partition=partition)
             result = schedule_ddg(ddg, design)
             estimates.append(estimate_power_area(ddg, result))
     return estimates

@@ -34,9 +34,10 @@ class HwVectorPort:
     """One hardware vector port (a 512-bit FIFO at the CGRA boundary).
 
     Attributes:
-        port_id: hardware port number (namespace is per direction).
-        direction: ``"in"`` (stream engines -> CGRA), ``"out"`` (CGRA ->
-            stream engines) or ``"indirect"`` (address buffer, not attached
+        port_id: hardware port number (namespace is per kind).
+        kind: :class:`~repro.core.isa.commands.PortRef`'s vocabulary:
+            ``"in"`` (stream engines -> CGRA), ``"out"`` (CGRA -> stream
+            engines) or ``"ind"`` (indirect address buffer, not attached
             to the CGRA — Section 4.1).
         width: words transferable per cycle (1..8).
         depth: FIFO capacity in *instances* (entries of ``width`` words).
@@ -45,7 +46,7 @@ class HwVectorPort:
     """
 
     port_id: int
-    direction: str
+    kind: str
     width: int
     depth: int
     attach: Tuple[Coord, ...] = ()
@@ -53,10 +54,15 @@ class HwVectorPort:
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_PORT_WIDTH:
             raise ValueError(f"port width must be 1..{MAX_PORT_WIDTH}")
-        if self.direction not in ("in", "out", "indirect"):
-            raise ValueError(f"bad direction {self.direction!r}")
+        if self.kind not in ("in", "out", "ind"):
+            raise ValueError(f"bad port kind {self.kind!r}")
         if self.depth < 1:
             raise ValueError("port depth must be positive")
+
+    @property
+    def name(self) -> str:
+        """The port's one name, as :class:`PortRef` prints it: ``in3``."""
+        return f"{self.kind}{self.port_id}"
 
     @property
     def capacity_words(self) -> int:
@@ -69,7 +75,11 @@ class FabricError(ValueError):
 
 @dataclass
 class Fabric:
-    """A provisioned CGRA: grid, network and boundary ports."""
+    """A provisioned CGRA: grid, network and boundary ports.
+
+    ``ports`` maps ``(kind, port_id)`` to every port: input, then output,
+    then indirect.
+    """
 
     name: str
     mesh: MeshNetwork
@@ -77,8 +87,15 @@ class Fabric:
     input_ports: List[HwVectorPort]
     output_ports: List[HwVectorPort]
     indirect_ports: List[HwVectorPort] = field(default_factory=list)
+    ports: Dict[Tuple[str, int], HwVectorPort] = field(
+        init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.ports = {
+            (port.kind, port.port_id): port
+            for port in (self.input_ports + self.output_ports
+                         + self.indirect_ports)
+        }
         for coord in self.mesh.coords():
             if coord not in self.pes:
                 raise FabricError(f"no PE at {coord}")
@@ -122,18 +139,12 @@ class Fabric:
         """``coord -> number of ops its FU supports``, built on first use."""
         return {coord: len(pe.fu.ops) for coord, pe in self.pes.items()}
 
-    def ports_in(self, direction: str) -> List[HwVectorPort]:
-        if direction == "in":
-            return self.input_ports
-        if direction == "out":
-            return self.output_ports
-        return self.indirect_ports
-
-    def find_port(self, direction: str, port_id: int) -> HwVectorPort:
-        for port in self.ports_in(direction):
-            if port.port_id == port_id:
-                return port
-        raise FabricError(f"no {direction} port {port_id} in fabric {self.name!r}")
+    def find_port(self, kind: str, port_id: int) -> HwVectorPort:
+        try:
+            return self.ports[kind, port_id]
+        except KeyError:
+            raise FabricError(
+                f"no port {kind}{port_id} in fabric {self.name!r}") from None
 
     @property
     def config_size_bytes(self) -> int:
@@ -189,7 +200,7 @@ def build_fabric(
         for i, w in enumerate(output_widths)
     ]
     indirect_ports = [
-        HwVectorPort(i, "indirect", MAX_PORT_WIDTH, port_depth)
+        HwVectorPort(i, "ind", MAX_PORT_WIDTH, port_depth)
         for i in range(num_indirect)
     ]
     return Fabric(name, mesh, pes, input_ports, output_ports, indirect_ports)

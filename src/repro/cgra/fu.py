@@ -10,7 +10,7 @@ needed across the MachSuite workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet
 
 from ..core.dfg.instructions import get_operation
 
@@ -31,16 +31,14 @@ SIGMOID_OPS = frozenset({"sigmoid"})
 
 @dataclass(frozen=True)
 class FuType:
-    """A functional-unit flavour: which ops it executes, area and power.
+    """A functional-unit flavour: which ops it executes.
 
-    Area/power figures are 55 nm-class estimates consistent with the paper's
-    Table 3 totals (20 FUs ≈ 0.04 mm² and ≈24.4 mW at full DNN activity).
+    FU area and power live only in Table 3's ``fus`` row
+    (:data:`repro.power.model.SOFTBRAIN_COMPONENTS`).
     """
 
     name: str
     ops: FrozenSet[str]
-    area_mm2: float
-    static_power_mw: float
 
     def supports(self, mnemonic: str) -> bool:
         return mnemonic in self.ops
@@ -50,14 +48,10 @@ class FuType:
             get_operation(mnemonic)  # fail fast on typos
 
 
-ALU = FuType("alu", ALU_OPS, area_mm2=0.0008, static_power_mw=0.25)
-MULTIPLIER = FuType("mul", MUL_OPS | ALU_OPS, area_mm2=0.0030, static_power_mw=0.70)
-DIVIDER = FuType(
-    "div", DIV_OPS | MUL_OPS | ALU_OPS, area_mm2=0.0060, static_power_mw=1.20
-)
-SIGMOID_UNIT = FuType(
-    "sigmoid", SIGMOID_OPS | ALU_OPS, area_mm2=0.0020, static_power_mw=0.45
-)
+ALU = FuType("alu", ALU_OPS)
+MULTIPLIER = FuType("mul", MUL_OPS | ALU_OPS)
+DIVIDER = FuType("div", DIV_OPS | MUL_OPS | ALU_OPS)
+SIGMOID_UNIT = FuType("sigmoid", SIGMOID_OPS | ALU_OPS)
 
 FU_TYPES: Dict[str, FuType] = {
     fu.name: fu for fu in (ALU, MULTIPLIER, DIVIDER, SIGMOID_UNIT)
@@ -71,12 +65,3 @@ def fu_for_name(name: str) -> FuType:
         raise KeyError(
             f"unknown FU type {name!r}; known: {sorted(FU_TYPES)}"
         ) from None
-
-
-def capability_histogram(fu_names: Iterable[str]) -> Dict[str, int]:
-    """How many FUs of a mix can run each op mnemonic."""
-    histogram: Dict[str, int] = {}
-    for name in fu_names:
-        for op in fu_for_name(name).ops:
-            histogram[op] = histogram.get(op, 0) + 1
-    return histogram

@@ -74,23 +74,5 @@ class MeshNetwork:
         coords = list(self.coords())
         return {a: {b: self.manhattan(a, b) for b in coords} for a in coords}
 
-    def links(self) -> Iterator[Link]:
-        """Every directed switch-to-switch link."""
-        for coord in self.coords():
-            for nbr in self.neighbors(coord):
-                yield (coord, nbr)
-
-    @property
-    def num_links(self) -> int:
-        return 2 * (self.rows * (self.cols - 1) + self.cols * (self.rows - 1))
-
     def manhattan(self, a: Coord, b: Coord) -> int:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def top_edge(self) -> List[Coord]:
-        """Switches where input vector ports inject (row 0)."""
-        return [(x, 0) for x in range(self.cols)]
-
-    def bottom_edge(self) -> List[Coord]:
-        """Switches where output vector ports drain (last row)."""
-        return [(x, self.rows - 1) for x in range(self.cols)]

@@ -29,13 +29,11 @@ class PeSpec:
     Attributes:
         x, y: grid coordinates (column, row).
         fu: the functional-unit flavour placed at this tile.
-        max_input_delay: depth of the operand delay FIFOs.
     """
 
     x: int
     y: int
     fu: FuType
-    max_input_delay: int = MAX_INPUT_DELAY
 
     @property
     def coord(self) -> Tuple[int, int]:

@@ -48,10 +48,9 @@ class CgraConfig:
     dfg: Dfg
     fabric: Fabric
     placement: Dict[str, Coord]
-    port_map: Dict[str, int]  # DFG port name -> hw port id (per direction)
+    port_map: Dict[str, int]  # DFG port name -> hw port id (per kind)
     edges: Dict[EdgeKey, RoutedEdge]
     latency: int
-    initiation_interval: int = 1
 
     @property
     def config_size_bytes(self) -> int:
@@ -83,6 +82,5 @@ class CgraConfig:
         return (
             f"{self.dfg.name} on {self.fabric.name}: "
             f"{len(self.placement)} insts, {len(self.edges)} edges, "
-            f"{self.total_hops} hops, latency {self.latency}, "
-            f"II {self.initiation_interval}"
+            f"{self.total_hops} hops, latency {self.latency}, II 1"
         )

@@ -39,10 +39,11 @@ def map_ports(dfg: Dfg, fabric: Fabric) -> Dict[str, int]:
     all candidates are taken.
     """
     port_map: Dict[str, int] = {}
-    for direction, dfg_ports in (("in", dfg.inputs), ("out", dfg.outputs)):
-        available = sorted(
-            fabric.ports_in(direction), key=lambda p: (p.width, p.port_id)
-        )
+    for kind, dfg_ports, hw_ports in (
+        ("in", dfg.inputs, fabric.input_ports),
+        ("out", dfg.outputs, fabric.output_ports),
+    ):
+        available = sorted(hw_ports, key=lambda p: (p.width, p.port_id))
         taken: set = set()
         for name in sorted(dfg_ports, key=lambda n: -dfg_ports[n].width):
             width = dfg_ports[name].width
@@ -54,7 +55,7 @@ def map_ports(dfg: Dfg, fabric: Fabric) -> Dict[str, int]:
                 break
             if chosen is None:
                 raise SchedulingError(
-                    f"no free {direction} vector port of width >= {width} "
+                    f"no free {kind} vector port of width >= {width} "
                     f"for DFG port {name!r} on {fabric.name!r}"
                 )
             taken.add(chosen.port_id)

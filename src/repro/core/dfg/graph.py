@@ -113,7 +113,6 @@ class Dfg:
         self.inputs: Dict[str, InputPort] = {}
         self.outputs: Dict[str, OutputPort] = {}
         self.instructions: Dict[str, Instruction] = {}
-        self._order: List[str] = []  # insertion order of instructions
         self._topo_cache: Optional[List[Instruction]] = None
 
     # -- construction --------------------------------------------------------
@@ -147,7 +146,6 @@ class Dfg:
             op = get_operation(op)
         inst = Instruction(name, op, list(operands), lane_bits)
         self.instructions[name] = inst
-        self._order.append(name)
         self._topo_cache = None
         return inst
 
@@ -195,7 +193,7 @@ class Dfg:
                 if ref.node in self.instructions:
                     successors[ref.node].append(inst.name)
                     indegree[inst.name] += 1
-        ready = [n for n in self._order if indegree[n] == 0]
+        ready = [n for n in self.instructions if indegree[n] == 0]
         order: List[Instruction] = []
         while ready:
             name = ready.pop(0)

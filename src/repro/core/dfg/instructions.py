@@ -90,11 +90,8 @@ class Operation:
         name: canonical lower-case mnemonic (``"add"``, ``"mul"``...).
         arity: number of data inputs.
         latency: pipeline depth in cycles on the CGRA.
-        energy_pj: switching energy per firing in picojoules (55 nm-class,
-            used by the power model's activity accounting).
         lane_fn: per-lane semantics on signed ints; result is re-encoded
             at the lane width with wraparound.
-        commutative: whether operand order is irrelevant (scheduler freedom).
         whole_word: the op sees whole 64-bit words instead of lanes — used
             for horizontal reductions across sub-words (``hadd16`` etc.),
             where ``lane_bits`` selects the sub-word size being reduced.
@@ -103,9 +100,7 @@ class Operation:
     name: str
     arity: int
     latency: int
-    energy_pj: float
     lane_fn: LaneFn
-    commutative: bool = False
     whole_word: bool = False
 
     def evaluate(self, operands: Sequence[int], lane_bits: int = 64) -> int:
@@ -154,9 +149,9 @@ def all_operations() -> Tuple[Operation, ...]:
     return tuple(_REGISTRY[k] for k in sorted(_REGISTRY))
 
 
-def _div(a: int, b: int) -> int:
-    # Hardware-style division: round toward zero, divide-by-zero yields -1
-    # (all ones) like many DSP datapaths rather than trapping.
+def div_trunc(a: int, b: int) -> int:
+    """The hardware's divide: truncate toward zero; divide-by-zero yields
+    -1 (all ones, as many DSP datapaths do) rather than trapping."""
     if b == 0:
         return -1
     q = abs(a) // abs(b)
@@ -179,36 +174,36 @@ def _lshift(a: int, b: int) -> int:
 
 
 # Arithmetic -----------------------------------------------------------------
-register(Operation("add", 2, 1, 0.10, operator.add, commutative=True))
-register(Operation("sub", 2, 1, 0.10, operator.sub))
-register(Operation("mul", 2, 2, 0.80, operator.mul, commutative=True))
-register(Operation("div", 2, 8, 2.40, _div))
-register(Operation("mod", 2, 8, 2.40, _mod))
-register(Operation("abs", 1, 1, 0.05, abs))
-register(Operation("neg", 1, 1, 0.05, operator.neg))
-register(Operation("min", 2, 1, 0.10, min, commutative=True))
-register(Operation("max", 2, 1, 0.10, max, commutative=True))
+register(Operation("add", 2, 1, operator.add))
+register(Operation("sub", 2, 1, operator.sub))
+register(Operation("mul", 2, 2, operator.mul))
+register(Operation("div", 2, 8, div_trunc))
+register(Operation("mod", 2, 8, _mod))
+register(Operation("abs", 1, 1, abs))
+register(Operation("neg", 1, 1, operator.neg))
+register(Operation("min", 2, 1, min))
+register(Operation("max", 2, 1, max))
 
 # Logic / shifts --------------------------------------------------------------
-register(Operation("and", 2, 1, 0.03, operator.and_, commutative=True))
-register(Operation("or", 2, 1, 0.03, operator.or_, commutative=True))
-register(Operation("xor", 2, 1, 0.03, operator.xor, commutative=True))
-register(Operation("shl", 2, 1, 0.05, _lshift))
-register(Operation("shr", 2, 1, 0.05, _rshift))
+register(Operation("and", 2, 1, operator.and_))
+register(Operation("or", 2, 1, operator.or_))
+register(Operation("xor", 2, 1, operator.xor))
+register(Operation("shl", 2, 1, _lshift))
+register(Operation("shr", 2, 1, _rshift))
 
 # Comparisons (produce 0/1 in the lane) ---------------------------------------
-register(Operation("eq", 2, 1, 0.05, lambda a, b: int(a == b), commutative=True))
-register(Operation("ne", 2, 1, 0.05, lambda a, b: int(a != b), commutative=True))
-register(Operation("lt", 2, 1, 0.05, lambda a, b: int(a < b)))
-register(Operation("le", 2, 1, 0.05, lambda a, b: int(a <= b)))
-register(Operation("gt", 2, 1, 0.05, lambda a, b: int(a > b)))
-register(Operation("ge", 2, 1, 0.05, lambda a, b: int(a >= b)))
+register(Operation("eq", 2, 1, lambda a, b: int(a == b)))
+register(Operation("ne", 2, 1, lambda a, b: int(a != b)))
+register(Operation("lt", 2, 1, lambda a, b: int(a < b)))
+register(Operation("le", 2, 1, lambda a, b: int(a <= b)))
+register(Operation("gt", 2, 1, lambda a, b: int(a > b)))
+register(Operation("ge", 2, 1, lambda a, b: int(a >= b)))
 
 # Predication: select(pred, a, b) == a if pred != 0 else b --------------------
-register(Operation("select", 3, 1, 0.08, lambda p, a, b: a if p != 0 else b))
+register(Operation("select", 3, 1, lambda p, a, b: a if p != 0 else b))
 
 # Routing / identity ----------------------------------------------------------
-register(Operation("pass", 1, 1, 0.01, lambda a: a))
+register(Operation("pass", 1, 1, lambda a: a))
 
 # Horizontal reductions (whole-word: sum the sub-word lanes into a scalar) ----
 def _hadd(word: int, lane_bits: int) -> int:
@@ -223,22 +218,22 @@ def _hmax(word: int, lane_bits: int) -> int:
     return max(to_signed(v, lane_bits) for v in split_lanes(word, lane_bits))
 
 
-register(Operation("hadd", 1, 1, 0.15, _hadd, whole_word=True))
-register(Operation("hmin", 1, 1, 0.12, _hmin, whole_word=True))
-register(Operation("hmax", 1, 1, 0.12, _hmax, whole_word=True))
+register(Operation("hadd", 1, 1, _hadd, whole_word=True))
+register(Operation("hmin", 1, 1, _hmin, whole_word=True))
+register(Operation("hmax", 1, 1, _hmax, whole_word=True))
 
 # Fused / special units --------------------------------------------------------
-register(Operation("madd", 3, 2, 0.85, lambda a, b, c: a * b + c))
-register(Operation("sigmoid", 1, 2, 0.40, fixed_point_sigmoid))
+register(Operation("madd", 3, 2, lambda a, b, c: a * b + c))
+register(Operation("sigmoid", 1, 2, fixed_point_sigmoid))
 # Stateful accumulators ---------------------------------------------------------
 # The lane function is a placeholder: accumulation is stateful and handled by
 # the DFG/CGRA execution engines using ``accumulate_combine`` below.  The
 # operands are ``(value, reset)``: each firing outputs ``combine(state,
 # value)``; a nonzero reset returns the state to the op's identity afterwards
 # (the paper's Figure 6 ``acc``/``Port_R`` idiom).
-register(Operation("acc", 2, 1, 0.12, lambda a, r: a))
-register(Operation("accmin", 2, 1, 0.12, lambda a, r: a))
-register(Operation("accmax", 2, 1, 0.12, lambda a, r: a))
+register(Operation("acc", 2, 1, lambda a, r: a))
+register(Operation("accmin", 2, 1, lambda a, r: a))
+register(Operation("accmax", 2, 1, lambda a, r: a))
 
 #: accumulator op name -> (combining op name, identity generator)
 ACCUMULATOR_OPS = {"acc": "add", "accmin": "min", "accmax": "max"}

@@ -132,7 +132,7 @@ def dfg_to_spec(dfg: Dfg) -> dict:
                 "operands": [_operand_str(o) for o in inst.operands],
                 "lane_bits": inst.lane_bits,
             }
-            for inst in (dfg.instructions[n] for n in dfg._order)
+            for inst in dfg.instructions.values()
         ],
         "outputs": [
             {"name": p.name, "sources": [str(ref) for ref in p.sources]}

@@ -121,12 +121,10 @@ def snapshot_components(sim) -> Dict[str, Any]:
             for s in engine.streams
         ]
     ports: Dict[str, Any] = {}
-    for pool in (sim.input_ports, sim.output_ports, sim.indirect_ports):
-        for state in pool.values():
-            if state.occupancy or state.reserved:
-                name = f"{state.spec.direction}{state.spec.port_id}"
-                ports[name] = {"occupancy": state.occupancy,
-                               "reserved": state.reserved}
+    for state in sim.ports.values():
+        if state.occupancy or state.reserved:
+            ports[state.spec.name] = {"occupancy": state.occupancy,
+                                      "reserved": state.reserved}
     cgra: Optional[Dict[str, Any]] = None
     if sim.cgra is not None:
         why = sim.cgra.can_fire()

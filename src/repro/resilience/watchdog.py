@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.isa.commands import PortRef, SDBarrierAll, SDConfig, is_barrier
+from ..core.isa.commands import SDBarrierAll, SDConfig, is_barrier
 
 #: cap on rendered root-cause chains (the graph itself is complete)
 MAX_CHAINS = 10
@@ -98,17 +98,9 @@ class WaitGraph:
         return out
 
 
-#: HwVectorPort.direction -> PortRef.kind
-_DIR_TO_KIND = {"in": "in", "out": "out", "indirect": "ind"}
-
-
-def _port_name(kind: str, port_id: int) -> str:
-    return {"in": "in", "out": "out", "ind": "indirect"}[kind] + str(port_id)
-
-
 def _port_node(graph: WaitGraph, kind: str, port_id: int) -> str:
     node_id = f"port:{kind}{port_id}"
-    graph.add_node(node_id, f"port {_port_name(kind, port_id)}")
+    graph.add_node(node_id, f"port {kind}{port_id}")
     return node_id
 
 
@@ -227,34 +219,30 @@ def build_wait_graph(sim, cycle: Optional[int] = None) -> WaitGraph:
                 graph.add_edge(
                     node, _stream_node(graph, first),
                     f"waits for earlier writer #{first.trace.index} of port "
-                    f"{dest.spec.direction}{dest.spec.port_id}")
+                    f"{dest.spec.name}")
                 continue
             if stream.pending:
                 if dest is not None and stream.pending[0][0] <= cycle:
                     if dest.free_words < len(stream.pending[0][1]):
-                        kind = _DIR_TO_KIND[dest.spec.direction]
-                        pid = dest.spec.port_id
+                        kind, pid = dest.spec.kind, dest.spec.port_id
                         referenced_ports.add((kind, pid))
                         graph.add_edge(
                             node, _port_node(graph, kind, pid),
-                            f"delivery blocked: port "
-                            f"{_port_name(kind, pid)} full")
+                            f"delivery blocked: port {dest.spec.name} full")
                         continue
             done = stream.issued_all and not stream.pending
             if done:
                 continue
             for port, why in _stream_port_needs(stream):
-                kind = _DIR_TO_KIND[port.spec.direction]
-                pid = port.spec.port_id
+                kind, pid = port.spec.kind, port.spec.port_id
                 referenced_ports.add((kind, pid))
                 graph.add_edge(node, _port_node(graph, kind, pid),
-                               why.format(f"{kind}{pid}"))
+                               why.format(port.spec.name))
 
     # -- vector ports --------------------------------------------------------
     for kind, pid in sorted(referenced_ports):
         node = _port_node(graph, kind, pid)
-        port = sim.port_state(PortRef(kind, pid))
-        if port.occupancy == 0:
+        if sim.ports[kind, pid].occupancy == 0:
             _explain_empty_port(graph, sim, node, kind, pid)
         else:
             _explain_full_port(graph, sim, node, kind, pid)
@@ -268,22 +256,20 @@ def build_wait_graph(sim, cycle: Optional[int] = None) -> WaitGraph:
             if why == "input":
                 for name, width, port in sim.cgra.inputs:
                     if port.occupancy < width:
-                        kind = _DIR_TO_KIND[port.spec.direction]
-                        pid = port.spec.port_id
+                        kind, pid = port.spec.kind, port.spec.port_id
                         pnode = _port_node(graph, kind, pid)
                         graph.add_edge("cgra", pnode,
-                                       f"starved on {_port_name(kind, pid)} "
+                                       f"starved on {port.spec.name} "
                                        f"({port.occupancy}/{width} words)")
                         if (kind, pid) not in referenced_ports:
                             _explain_empty_port(graph, sim, pnode, kind, pid)
             else:
                 for name, width, port in sim.cgra.outputs:
                     if port.free_words < width:
-                        kind = _DIR_TO_KIND[port.spec.direction]
-                        pid = port.spec.port_id
+                        kind, pid = port.spec.kind, port.spec.port_id
                         pnode = _port_node(graph, kind, pid)
                         graph.add_edge("cgra", pnode,
-                                       f"no room on {_port_name(kind, pid)}")
+                                       f"no room on {port.spec.name}")
                         if (kind, pid) not in referenced_ports:
                             _explain_full_port(graph, sim, pnode, kind, pid)
     return graph

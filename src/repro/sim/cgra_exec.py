@@ -298,7 +298,7 @@ class CgraExecutor:
             (
                 name,
                 port.width,
-                sim.input_ports[config.hw_input_port(name)],
+                sim.ports["in", config.hw_input_port(name)],
             )
             for name, port in dfg.inputs.items()
         ]
@@ -309,7 +309,7 @@ class CgraExecutor:
             (
                 name,
                 port.width,
-                sim.output_ports[config.hw_output_port(name)],
+                sim.ports["out", config.hw_output_port(name)],
             )
             for name, port in dfg.outputs.items()
         ]

@@ -112,10 +112,8 @@ class Dispatcher:
         keys = tuple(
             (port.kind, port.port_id, role) for port, role in port_uses(command)
         )
-        pools = {"in": sim.input_ports, "out": sim.output_ports,
-                 "ind": sim.indirect_ports}
         for kind, port_id, _role in keys:
-            if port_id not in pools[kind]:
+            if (kind, port_id) not in sim.ports:
                 raise IllegalCommandError(
                     f"illegal command at program index {sim.core.pc}: "
                     f"{type(command).__name__} references nonexistent "

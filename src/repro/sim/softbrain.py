@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cgra.fabric import Fabric, dnn_provisioned
 from ..core.isa.commands import Command, PortRef, SDConfig
@@ -131,14 +131,10 @@ class SoftbrainSim:
 
         from .vector_port import VectorPortState
 
-        self.input_ports: Dict[int, VectorPortState] = {
-            p.port_id: VectorPortState(p) for p in self.fabric.input_ports
-        }
-        self.output_ports: Dict[int, VectorPortState] = {
-            p.port_id: VectorPortState(p) for p in self.fabric.output_ports
-        }
-        self.indirect_ports: Dict[int, VectorPortState] = {
-            p.port_id: VectorPortState(p) for p in self.fabric.indirect_ports
+        #: ``(kind, port_id) -> state``, in :attr:`Fabric.ports` order
+        self.ports: Dict[Tuple[str, int], VectorPortState] = {
+            key: VectorPortState(spec)
+            for key, spec in self.fabric.ports.items()
         }
 
         self.engines: Dict[str, StreamEngineBase] = {
@@ -169,11 +165,7 @@ class SoftbrainSim:
     # -- services used by components --------------------------------------------
 
     def port_state(self, ref: PortRef):
-        if ref.kind == "in":
-            return self.input_ports[ref.port_id]
-        if ref.kind == "out":
-            return self.output_ports[ref.port_id]
-        return self.indirect_ports[ref.port_id]
+        return self.ports[ref.kind, ref.port_id]
 
     def schedule(self, cycle: int, fn: Optional[Callable[[], None]]) -> None:
         """Schedule ``fn`` (or a pure wake-up when None) at ``cycle``."""
@@ -285,22 +277,20 @@ class SoftbrainSim:
         """
         self._next_port_sample = cycle + PORT_SAMPLE_INTERVAL
         emit = self.trace.emit
-        for ports in (self.input_ports, self.output_ports,
-                      self.indirect_ports):
-            for state in ports.values():
-                name = f"{state.spec.direction}{state.spec.port_id}"
-                occupancy, reserved = state.occupancy, state.reserved
-                if occupancy or reserved:
-                    self._sampled_ports.add(name)
-                elif name in self._sampled_ports:
-                    self._sampled_ports.discard(name)
-                else:
-                    continue
-                emit(TraceEvent(
-                    "port.sample", cycle, self.unit, "ports",
-                    {"port": name, "occupancy": occupancy,
-                     "reserved": reserved},
-                ))
+        for state in self.ports.values():
+            name = state.spec.name
+            occupancy, reserved = state.occupancy, state.reserved
+            if occupancy or reserved:
+                self._sampled_ports.add(name)
+            elif name in self._sampled_ports:
+                self._sampled_ports.discard(name)
+            else:
+                continue
+            emit(TraceEvent(
+                "port.sample", cycle, self.unit, "ports",
+                {"port": name, "occupancy": occupancy,
+                 "reserved": reserved},
+            ))
 
     def finished(self) -> bool:
         return (

@@ -254,8 +254,7 @@ class StreamEngineBase:
                 if (injector is not None and words
                         and cycle >= injector.port_drop_at):
                     dropped = injector.drop_port_words(
-                        cycle, f"{dest.spec.direction}{dest.spec.port_id}",
-                        words)
+                        cycle, dest.spec.name, words)
                     if dropped is not words:
                         # persist the loss: the retried delivery must not
                         # resurrect the dropped word
@@ -271,8 +270,7 @@ class StreamEngineBase:
                         {
                             "index": stream.trace.index,
                             "command": stream.trace.label,
-                            "port": f"{dest.spec.direction}"
-                                    f"{dest.spec.port_id}",
+                            "port": dest.spec.name,
                             "words": len(words),
                         },
                     ))

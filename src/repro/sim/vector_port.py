@@ -48,7 +48,7 @@ class VectorPortState:
     def reserve(self, nwords: int) -> None:
         if nwords > self.free_words:
             raise PortRuntimeError(
-                f"port {self.spec.direction}{self.spec.port_id}: reserve "
+                f"port {self.spec.name}: reserve "
                 f"{nwords} > free {self.free_words}"
             )
         self.reserved += nwords
@@ -57,13 +57,13 @@ class VectorPortState:
         if reserved:
             if len(words) > self.reserved:
                 raise PortRuntimeError(
-                    f"port {self.spec.direction}{self.spec.port_id}: push "
+                    f"port {self.spec.name}: push "
                     f"{len(words)} exceeds reservation {self.reserved}"
                 )
             self.reserved -= len(words)
         elif len(words) > self.free_words:
             raise PortRuntimeError(
-                f"port {self.spec.direction}{self.spec.port_id}: push "
+                f"port {self.spec.name}: push "
                 f"{len(words)} > free {self.free_words}"
             )
         self.fifo.extend(words)
@@ -73,7 +73,7 @@ class VectorPortState:
         fifo = self.fifo
         if len(fifo) < nwords:
             raise PortRuntimeError(
-                f"port {self.spec.direction}{self.spec.port_id}: pop "
+                f"port {self.spec.name}: pop "
                 f"{nwords} > occupancy {len(fifo)}"
             )
         self.total_popped += nwords
@@ -86,7 +86,7 @@ class VectorPortState:
 
     def __repr__(self) -> str:
         return (
-            f"VectorPortState({self.spec.direction}{self.spec.port_id}, "
+            f"VectorPortState({self.spec.name}, "
             f"occ={self.occupancy}/{self.capacity_words}, "
             f"reserved={self.reserved})"
         )

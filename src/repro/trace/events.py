@@ -154,7 +154,7 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
             "Periodic vector-port depth sample (every "
             "`repro.sim.softbrain.PORT_SAMPLE_INTERVAL` stepped cycles; "
             "only ports whose depth changed from zero are sampled).",
-            port="port name, e.g. 'in0', 'out1', 'indirect0'",
+            port="port name, e.g. 'in0', 'out1', 'ind0'",
             occupancy="words resident in the FIFO",
             reserved="words reserved for in-flight data",
         ),

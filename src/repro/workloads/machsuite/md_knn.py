@@ -9,8 +9,8 @@ largest and most irregular DFG in the suite — it uses every multiplier and
 both dividers of the broadly-provisioned fabric.
 
 Arithmetic is integer fixed point: ``force = C1/r^6 - C2/r^4`` with
-the hardware's truncating division (``ddg.div_trunc``), which the kernel's
-reference run uses too.
+the hardware's truncating division (``instructions.div_trunc``), which
+the kernel's reference run uses too.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from repro.cgra import (
     fu_for_name,
     make_pe,
 )
-from repro.cgra.fu import capability_histogram
 
 
 class TestFuTypes:
@@ -44,11 +43,6 @@ class TestFuTypes:
         with pytest.raises(KeyError):
             fu_for_name("fpga")
 
-    def test_capability_histogram(self):
-        histogram = capability_histogram(["alu", "mul"])
-        assert histogram["add"] == 2
-        assert histogram["mul"] == 1
-
 
 class TestMesh:
     def test_neighbors_corner(self):
@@ -59,19 +53,9 @@ class TestMesh:
         mesh = MeshNetwork(3, 3)
         assert len(mesh.neighbors((1, 1))) == 4
 
-    def test_num_links(self):
-        mesh = MeshNetwork(3, 2)
-        assert mesh.num_links == len(list(mesh.links()))
-        assert mesh.num_links == 2 * (2 * 2 + 3 * 1)
-
     def test_manhattan(self):
         mesh = MeshNetwork(5, 4)
         assert mesh.manhattan((0, 0), (3, 2)) == 5
-
-    def test_edges(self):
-        mesh = MeshNetwork(4, 3)
-        assert mesh.top_edge() == [(x, 0) for x in range(4)]
-        assert mesh.bottom_edge() == [(x, 2) for x in range(4)]
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -92,8 +76,11 @@ class TestVectorPortSpec:
             HwVectorPort(0, "in", 0, 16)
 
     def test_direction_checked(self):
-        with pytest.raises(ValueError):
-            HwVectorPort(0, "diagonal", 4, 16)
+        # the kind uses PortRef's vocabulary: in / out / ind
+        for kind in ("diagonal", "indirect"):
+            with pytest.raises(ValueError):
+                HwVectorPort(0, kind, 4, 16)
+        assert HwVectorPort(3, "ind", 8, 16).name == "ind3"
 
 
 class TestFabric:

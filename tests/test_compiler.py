@@ -161,7 +161,7 @@ class TestSchedule:
         config = schedule(DOT, dnn_provisioned())
         assert isinstance(config, CgraConfig)
         assert len(config.placement) == 5
-        assert config.initiation_interval == 1
+        assert config.summary().endswith("II 1")
 
     def test_deterministic_for_seed(self):
         c1 = schedule(DOT, dnn_provisioned(), seed=3)

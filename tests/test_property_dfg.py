@@ -241,7 +241,6 @@ class TestSchedulerInvariants:
 
             assert isinstance(exc, SchedulingError)
             return
-        assert config.initiation_interval == 1
         coords = list(config.placement.values())
         assert len(coords) == len(set(coords))
         for name, coord in config.placement.items():

@@ -33,6 +33,7 @@ from repro.sim import (
     SimulationDeadlock,
     SimulationLimit,
     SoftbrainParams,
+    SoftbrainSim,
     run_multi_unit,
     run_program,
 )
@@ -175,6 +176,34 @@ class TestFailureReports:
         port = f"in{config.hw_input_port('A')}"
         assert f"waits for earlier writer #1 of port {port}" in const_chain
         assert "SD_MemPort #1" in const_chain
+
+    def test_one_name_per_indirect_port(self):
+        # ind0 gets no index fill and ind1 a fill nobody reads: the chain,
+        # the wait-graph labels, the dumped ports and the scoreboard all
+        # name an indirect port as PortRef prints it.
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0, [1, 2, 3, 4])
+        program = StreamProgram("gather", passthrough_config(fabric))
+        program.mem_to_indirect(0, 4, 1)
+        program.ind_port_port(0, 0x1000, "A", 4)
+        program.port_mem("O", 32, 32, 1, 0x8000)
+        program.barrier_all()
+        with pytest.raises(SimulationDeadlock) as info:
+            run_program(program, fabric=fabric, memory=memory)
+        report = info.value.report
+        chain = next(c for c in report.chains if "SD_IndPortPort" in c)
+        assert chain.endswith("[index port ind0 has no addresses] "
+                              "<- port ind0 [no stream writes this port]")
+        labels = [n["label"] for n in report.wait_graph["nodes"].values()]
+        assert "port ind0" in labels
+        assert list(report.components["ports"]) == ["ind1"]
+        assert "ind0:r" in report.components["dispatcher"]["busy_ports"]
+        assert "indirect" not in report.to_json()
+        # one port table, input then output then indirect
+        sim = SoftbrainSim(program, fabric=fabric)
+        assert [kind for kind, _ in sim.ports] == (
+            ["in"] * 8 + ["out"] * 6 + ["ind"] * 2)
 
     def test_report_is_deterministic(self):
         dumps = []

@@ -52,6 +52,25 @@ class TestNullSinkEquivalence:
     def test_null_sink_emits_nothing(self):
         assert not NULL_SINK.enabled
 
+    def test_untraced_runs_build_no_event(self, monkeypatch):
+        # The sinks.py contract, counted exactly: with tracing off no
+        # TraceEvent is ever constructed, not merely never emitted.
+        built = []
+        init = TraceEvent.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceEvent, "__init__", counted)
+        _run("backprop")
+        assert built == []
+        _run("backprop", trace=NullSink())
+        assert built == []
+        sink = ListSink()
+        _run("backprop", trace=sink)  # the counter sees a traced run
+        assert len(built) == len(sink.events) > 0
+
     def test_enabled_trace_does_not_change_timing(self, gemm_capture):
         _, _, traced_result = gemm_capture
         assert traced_result.cycles == _run("gemm").cycles
