@@ -15,14 +15,15 @@ test asserts the contract two ways:
    produce bit-identical cycle counts; the remaining cost is one
    attribute compare per site, which is also what a real plan pays before
    its first fault is due;
-2. **coarsely** — the measured wall overhead must stay under a
-   noise-tolerant sanity bound (``MAX_OVERHEAD_WALL``).
+2. **coarsely** — the measured wall overhead, the median over
+   interleaved pairs of each pair's ``run_program`` time ratio, must stay
+   under a noise-tolerant sanity bound (``MAX_OVERHEAD_WALL``).
 
 Run directly (``python -m pytest benchmarks/bench_fault_overhead.py``) to
 see the measured numbers.
 """
 
-from bench_trace_overhead import best_of_interleaved
+from bench_trace_overhead import interleaved_overhead
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.workloads.common import run_and_verify
 from repro.workloads.machsuite import MACHSUITE
@@ -60,36 +61,25 @@ def _counting_injector():
 
 
 def measure_fault_hook_overhead(workload: str = "gemm",
-                                repeats: int = 9) -> dict:
-    """Measure the cost of an attached-but-idle injector on one workload.
+                                repeats: int = 24) -> dict:
+    """Measure the cost of an attached-but-idle injector on one workload,
+    over ``repeats`` interleaved pairs (:func:`interleaved_overhead`).
 
     Returns ``{"no_injector": s, "idle_injector": s, "overhead": fraction,
-    "cycles_match": bool, "hook_calls": int}``.  Workloads are rebuilt per
-    run because a simulation mutates its memory image.
+    "cycles_match": bool, "hook_calls": int}``.
     """
     builder = MACHSUITE[workload][0]
-    cycles = []
-
-    def no_injector() -> None:
-        cycles.append(run_and_verify(builder()).cycles)
-
-    def idle_injector() -> None:
-        cycles.append(
-            run_and_verify(builder(), faults=_never_firing_injector()).cycles)
-
-    no_injector()
-    idle_injector()
-    cycles.clear()
-
-    base, hooked = best_of_interleaved(repeats, no_injector, idle_injector)
+    result = interleaved_overhead(
+        repeats, builder, dict,
+        lambda: {"faults": _never_firing_injector()})
 
     counting, calls = _counting_injector()
     run_and_verify(builder(), faults=counting)
     return {
-        "no_injector": base,
-        "idle_injector": hooked,
-        "overhead": hooked / base - 1.0,
-        "cycles_match": len(set(cycles)) == 1,
+        "no_injector": result["a"],
+        "idle_injector": result["b"],
+        "overhead": result["overhead"],
+        "cycles_match": result["cycles_match"],
         "hook_calls": sum(calls.values()),
     }
 

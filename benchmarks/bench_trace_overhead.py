@@ -5,7 +5,9 @@ only one ``sink.enabled`` boolean test per would-be event — no event
 objects, no string formatting.  This benchmark simulates the ``gemm``
 MachSuite workload with no trace argument and with an explicit
 :class:`repro.trace.NullSink` and asserts the NullSink run is within
-``MAX_OVERHEAD`` (5%) of the untraced one.
+``MAX_OVERHEAD`` (5%) of the untraced one: the median, over
+interleaved pairs, of each pair's time ratio.  Only ``run_program`` is
+timed; each run's workload is built before and verified after.
 
 Run directly (``python -m pytest benchmarks/bench_trace_overhead.py``) or
 via the reduced smoke test in ``tests/test_trace.py``, which reuses
@@ -13,59 +15,83 @@ via the reduced smoke test in ``tests/test_trace.py``, which reuses
 machinery with fewer repetitions.
 """
 
+import statistics
 import time
+from typing import Callable, Dict, List
 
+from repro.sim.softbrain import run_program
 from repro.trace import NullSink
-from repro.workloads.common import run_and_verify
 from repro.workloads.machsuite import MACHSUITE
 
 #: tolerated NullSink slowdown relative to an untraced run
 MAX_OVERHEAD = 0.05
 
 
-def best_of_interleaved(repeats: int, runner_a, runner_b) -> tuple:
-    """Minimum wall time of each runner over ``repeats`` interleaved A/B
-    rounds; min filters interference spikes and interleaving makes slow
-    drift hit both runners equally."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
+def interleaved_overhead(pairs: int, builder: Callable,
+                         extra_a: Callable[[], Dict],
+                         extra_b: Callable[[], Dict]) -> dict:
+    """Time ``run_program`` on ``pairs`` interleaved pairs of runs, side
+    A with the keyword arguments ``extra_a()`` and side B with
+    ``extra_b()``, and compare them by the median of per-pair ratios.
+
+    Each run gets a fresh workload from ``builder``, built before the
+    timer starts and verified after it stops, so only ``run_program`` is
+    timed.  The pairs alternate which side runs first.  A pair's ratio
+    compares two runs made moments apart, so slow drift of the host
+    cancels, and the median ignores the few pairs an interference spike
+    hits.  Returns ``{"a": s, "b": s, "overhead": fraction,
+    "cycles_match": bool}``: the median time of each side, the median
+    ratio less one, and whether every run simulated the same cycles.
+    """
+    cycles: List[int] = []
+
+    def timed(extra: Callable[[], Dict]) -> float:
+        built = builder()
+        kwargs = extra()
         started = time.perf_counter()
-        runner_a()
-        best_a = min(best_a, time.perf_counter() - started)
-        started = time.perf_counter()
-        runner_b()
-        best_b = min(best_b, time.perf_counter() - started)
-    return best_a, best_b
+        result = run_program(built.program, fabric=built.fabric,
+                             memory=built.memory, **kwargs)
+        elapsed = time.perf_counter() - started
+        built.verify(built.memory)
+        cycles.append(result.cycles)
+        return elapsed
+
+    timed(extra_a)  # warm-up, so first-run caches bias neither side
+    timed(extra_b)
+    times_a, times_b, ratios = [], [], []
+    for pair in range(pairs):
+        if pair % 2:
+            b = timed(extra_b)
+            a = timed(extra_a)
+        else:
+            a = timed(extra_a)
+            b = timed(extra_b)
+        times_a.append(a)
+        times_b.append(b)
+        ratios.append(b / a)
+    return {
+        "a": statistics.median(times_a),
+        "b": statistics.median(times_b),
+        "overhead": statistics.median(ratios) - 1.0,
+        "cycles_match": len(set(cycles)) == 1,
+    }
 
 
 def measure_null_sink_overhead(workload: str = "gemm",
-                               repeats: int = 9) -> dict:
-    """Time untraced vs NullSink-traced runs of one MachSuite workload.
+                               repeats: int = 24) -> dict:
+    """Time untraced vs NullSink-traced runs of one MachSuite workload
+    over ``repeats`` interleaved pairs (:func:`interleaved_overhead`).
 
     Returns ``{"untraced": s, "null_sink": s, "overhead": fraction,
-    "cycles_match": bool}``.  Workloads are rebuilt per run because a
-    simulation mutates its memory image.
+    "cycles_match": bool}``.
     """
-    builder = MACHSUITE[workload][0]
-    cycles = []
-
-    def untraced() -> None:
-        cycles.append(run_and_verify(builder()).cycles)
-
-    def with_null_sink() -> None:
-        cycles.append(run_and_verify(builder(), trace=NullSink()).cycles)
-
-    # Interleave-free warmup so imports/JIT-less caches don't bias run 1.
-    untraced()
-    with_null_sink()
-    cycles.clear()
-
-    base, traced = best_of_interleaved(repeats, untraced, with_null_sink)
+    result = interleaved_overhead(repeats, MACHSUITE[workload][0], dict,
+                                  lambda: {"trace": NullSink()})
     return {
-        "untraced": base,
-        "null_sink": traced,
-        "overhead": traced / base - 1.0,
-        "cycles_match": len(set(cycles)) == 1,
+        "untraced": result["a"],
+        "null_sink": result["b"],
+        "overhead": result["overhead"],
+        "cycles_match": result["cycles_match"],
     }
 
 

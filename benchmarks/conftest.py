@@ -3,11 +3,12 @@
 The MachSuite comparison (simulate 8 workloads + 20-point ASIC sweeps) is
 the expensive step behind Figures 12-15; it runs once per session and the
 four figure benchmarks derive their series from the cached rows.  Every
-benchmark appends its rendered table to a per-session
+benchmark that renders a table appends it to a per-session
 ``benchmarks/results-<timestamp>.txt`` (gitignored) so a full
 ``pytest benchmarks/ --benchmark-only`` run leaves the complete
 reproduction of the paper's evaluation on disk without clobbering the
-previous run's results.
+previous run's results.  The file is created by the session's first
+:func:`record`, so a session that renders no table leaves none.
 """
 
 import pathlib
@@ -35,14 +36,15 @@ def dnn_rows():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
-    RESULTS_PATH.write_text("")
+def _report_results_file():
     yield
-    print(f"\nbenchmark tables written to {RESULTS_PATH}")
+    if RESULTS_PATH.exists():
+        print(f"\nbenchmark tables written to {RESULTS_PATH}")
 
 
 def record(title: str, text: str) -> None:
-    """Print a rendered table and append it to the results file."""
+    """Print a rendered table and append it to the results file, which
+    the session's first call creates."""
     block = f"\n{'=' * 72}\n{title}\n{'=' * 72}\n{text}\n"
     print(block)
     with RESULTS_PATH.open("a") as handle:

@@ -91,7 +91,10 @@ def capability_scores() -> List[CapabilityScore]:
 
 def format_table1() -> str:
     width = max(len(row[1]) for row in CAPABILITIES) + 2
-    header = f"{'':{width}}" + "".join(f"{a:>18}" for a in ARCHITECTURES)
+    # every column is as wide as its longest cell plus a separating gap
+    column = 2 + max(len(cell) for _, _, verdicts in CAPABILITIES
+                     for cell in verdicts + ARCHITECTURES)
+    header = f"{'':{width}}" + "".join(f"{a:>{column}}" for a in ARCHITECTURES)
     lines = [
         "Table 1: architectural specialization capabilities",
         "(assumption: high-parallelism, small-footprint compute kernels)",
@@ -103,11 +106,13 @@ def format_table1() -> str:
         prefix = f"[{group}] " if group not in group_seen else "       "
         group_seen.add(group)
         label = (prefix + capability)[: width - 1]
-        lines.append(f"{label:{width}}" + "".join(f"{v:>18}" for v in verdicts))
+        lines.append(f"{label:{width}}"
+                     + "".join(f"{v:>{column}}" for v in verdicts))
     lines.append("-" * len(header))
     scores = capability_scores()
     lines.append(
         f"{'score (Yes=1, partial=0.5)':{width}}"
-        + "".join(f"{s.score:>17.1f}/{s.max_score}" for s in scores)
+        + "".join(f"{f'{s.score:.1f}/{s.max_score}':>{column}}"
+                  for s in scores)
     )
     return "\n".join(lines)

@@ -10,9 +10,11 @@ tells the stream engines when a request's data is available.
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..core.isa.patterns import LINE_BYTES
 from ..trace import NULL_SINK, SHARED_UNIT, TraceEvent, TraceSink
@@ -20,6 +22,26 @@ from .errors import MemoryProtocolError
 
 _PAGE_BITS = 12
 PAGE_BYTES = 1 << _PAGE_BITS
+#: one vector-port word
+WORD_MASK = 0xFFFF_FFFF_FFFF_FFFF
+#: ``struct`` codes of the unsigned element sizes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@functools.lru_cache(maxsize=256)
+def _run_struct(count: int, size: int, signed: bool) -> struct.Struct:
+    code = _CODES[size]
+    return struct.Struct(f"<{count}{code.lower() if signed else code}")
+
+
+def unpack_words(buffer, offset: int, count: int, size: int,
+                 signed: bool) -> List[int]:
+    """``count`` back-to-back ``size``-byte elements at ``offset`` of
+    ``buffer``, each as a raw 64-bit word (zero- or sign-extended)."""
+    if signed and size < 8:
+        return [value & WORD_MASK for value in
+                _run_struct(count, size, True).unpack_from(buffer, offset)]
+    return list(_run_struct(count, size, False).unpack_from(buffer, offset))
 
 
 @dataclass
@@ -77,25 +99,27 @@ class BackingStore:
     def read_word(self, addr: int, size: int = 8, signed: bool = False) -> int:
         return int.from_bytes(self.read(addr, size), "little", signed=signed)
 
-    def read_extended(self, addr: int, size: int, signed: bool) -> int:
-        """Read a narrow element as a raw 64-bit word (zero/sign-extended)."""
-        value = int.from_bytes(self.read(addr, size), "little", signed=signed)
-        return value & 0xFFFF_FFFF_FFFF_FFFF
-
     def write_word(self, addr: int, value: int, size: int = 8) -> None:
         self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
-    def read_elements(self, addrs, size: int, signed: bool):
-        """Batched :meth:`read_extended` over same-size elements.
+    def read_elements(self, addrs: Sequence[int], size: int, signed: bool,
+                      contiguous: bool = False) -> List[int]:
+        """Read same-size elements, each as a raw 64-bit word (zero- or
+        sign-extended), materialising every page an element touches.
 
-        Functionally identical to calling ``read_extended`` per address —
-        including materialising the touched pages, so
-        :meth:`snapshot_pages` sees the same pages either way.  The
-        common case (element fully inside one page) skips the
-        per-read ``bytearray`` assembly of :meth:`read`.
+        ``contiguous`` says each element starts where the previous one
+        ends (:attr:`LineRequest.contiguous`); such a run inside one page
+        is read with one ``struct`` unpack.  Other elements are read one
+        by one, and one that straddles a page boundary goes through
+        :meth:`read`.
         """
-        out = []
         page_mask = PAGE_BYTES - 1
+        if contiguous:
+            offset = addrs[0] & page_mask
+            if offset + len(addrs) * size <= PAGE_BYTES:
+                return unpack_words(self._page(addrs[0]), offset,
+                                    len(addrs), size, signed)
+        out = []
         for addr in addrs:
             offset = addr & page_mask
             if offset + size <= PAGE_BYTES:
@@ -107,7 +131,7 @@ class BackingStore:
                 value = int.from_bytes(
                     self.read(addr, size), "little", signed=signed
                 )
-            out.append(value & 0xFFFF_FFFF_FFFF_FFFF)
+            out.append(value & WORD_MASK)
         return out
 
     def snapshot_pages(self) -> Dict[int, bytes]:

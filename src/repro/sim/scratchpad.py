@@ -10,11 +10,12 @@ writers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..core.isa.patterns import SCRATCH_BYTES
 from ..trace import NULL_SINK, TraceEvent, TraceSink
 from .errors import ScratchpadError
+from .memory import WORD_MASK, unpack_words
 
 __all__ = ["Scratchpad", "ScratchpadError", "ScratchpadStats"]
 
@@ -81,16 +82,30 @@ class Scratchpad:
             self._trace_access("scratch.write", addr, len(data))
         self._data[addr : addr + len(data)] = data
 
-    def read_elements(self, addrs, size: int, signed: bool):
-        """Batched :meth:`read_extended` over same-size elements.
+    def read_elements(self, addrs: Sequence[int], size: int, signed: bool,
+                      contiguous: bool = False) -> List[int]:
+        """Read same-size elements, each as a raw 64-bit word (zero- or
+        sign-extended).
 
         Counts, traces and range-checks each element exactly as one
-        :meth:`read_extended` call would (one ``scratch.read`` event per
-        element), minus the per-read ``bytes`` copy.
+        :meth:`read` of it would (one ``scratch.read`` event per element),
+        so a read that raises has counted the elements before the bad one.
+        ``contiguous`` says each element starts where the previous one
+        ends (:attr:`LineRequest.contiguous`); such a run inside the
+        scratchpad is read with one ``struct`` unpack.
         """
-        data = self._data
         stats = self.stats
         tracing = self.trace.enabled
+        count = len(addrs)
+        if (contiguous and addrs[0] >= 0
+                and addrs[0] + count * size <= SCRATCH_BYTES):
+            stats.reads += count
+            stats.bytes_read += count * size
+            if tracing:
+                for addr in addrs:
+                    self._trace_access("scratch.read", addr, size)
+            return unpack_words(self._data, addrs[0], count, size, signed)
+        data = self._data
         out = []
         for addr in addrs:
             self._check(addr, size)
@@ -100,7 +115,7 @@ class Scratchpad:
                 self._trace_access("scratch.read", addr, size)
             out.append(
                 int.from_bytes(data[addr:addr + size], "little", signed=signed)
-                & 0xFFFF_FFFF_FFFF_FFFF
+                & WORD_MASK
             )
         return out
 
@@ -111,11 +126,6 @@ class Scratchpad:
 
     def read_word(self, addr: int, size: int = 8, signed: bool = False) -> int:
         return int.from_bytes(self.read(addr, size), "little", signed=signed)
-
-    def read_extended(self, addr: int, size: int, signed: bool) -> int:
-        """Read a narrow element as a raw 64-bit word (zero/sign-extended)."""
-        value = int.from_bytes(self.read(addr, size), "little", signed=signed)
-        return value & 0xFFFF_FFFF_FFFF_FFFF
 
     def write_word(self, addr: int, value: int, size: int = 8) -> None:
         self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cgra.fabric import Fabric, dnn_provisioned
 from ..core.isa.commands import Command, PortRef, SDConfig
+from ..core.isa.patterns import Affine2D, LineRequest, affine_requests
 from ..core.isa.program import StreamProgram
 from ..trace import NULL_SINK, TraceEvent, TraceSink
 from .cgra_exec import CgraExecutor
@@ -144,8 +145,6 @@ class SoftbrainSim:
             "rse": RecurrenceEngine(self, self.params.stream_table_size),
         }
         self._engine_list = list(self.engines.values())
-        #: bumped whenever anything a dispatcher scan depends on changes
-        self.dispatch_version = 0
         self.dispatcher = Dispatcher(self)
         self.core = ControlCore(self, program.items)
         self.cgra: Optional[CgraExecutor] = None
@@ -161,11 +160,26 @@ class SoftbrainSim:
         self._events: List = []  # heap of (cycle, seq, fn-or-None)
         self._event_seq = 0
         self.cycle = 0
+        #: pattern -> its line requests, or None once seen (see
+        #: :meth:`pattern_requests`)
+        self._requests: Dict[Affine2D, Optional[Tuple[LineRequest, ...]]] = {}
 
     # -- services used by components --------------------------------------------
 
     def port_state(self, ref: PortRef):
         return self.ports[ref.kind, ref.port_id]
+
+    def pattern_requests(self, pattern: Affine2D) -> Tuple[LineRequest, ...]:
+        """The line requests of ``pattern``, kept for reuse from the
+        pattern's second stream on: a layer that repeats a pattern
+        computes it twice, and one whose patterns are all distinct keeps
+        none."""
+        memo = self._requests
+        requests = memo.get(pattern)
+        if requests is None:
+            requests = affine_requests(pattern)
+            memo[pattern] = requests if pattern in memo else None
+        return requests
 
     def schedule(self, cycle: int, fn: Optional[Callable[[], None]]) -> None:
         """Schedule ``fn`` (or a pure wake-up when None) at ``cycle``."""
@@ -182,7 +196,6 @@ class SoftbrainSim:
     def stream_completed(self, stream: ActiveStream, cycle: int) -> None:
         command = stream.command
         stream.trace.completed = cycle
-        self.dispatch_version += 1
         if self.trace.enabled:
             self.trace.emit(TraceEvent(
                 "command.complete", cycle, self.unit, "dispatcher",
@@ -218,7 +231,6 @@ class SoftbrainSim:
             self.cgra.fold_activity()
         self.cgra = CgraExecutor(self, image)
         self.config_pending = False
-        self.dispatch_version += 1
         if self.trace.enabled:
             self.trace.emit(TraceEvent(
                 "config.apply", self.cycle, self.unit, "softbrain",

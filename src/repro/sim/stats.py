@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.isa.commands import Command
 
 
-@dataclass
+@dataclass(eq=False)
 class CommandTrace:
     """Lifetime of one command through the dispatcher.
 

@@ -22,10 +22,12 @@ Subclasses supply ``_can_issue`` and ``_issue``.  :class:`MemReadEngine`
 picks its stream in one balance-unit pass over the table, and
 :class:`ScratchEngine` keeps its own two-slot issue step.
 :meth:`StreamEngineBase.accept` resolves a stream's static facts once — the
-:class:`VectorPortState` of its ``dest``, ``source`` and ``index`` ports —
-and starts its pattern iterator or element count, so no per-cycle code
-looks at the command's type.  The dispatcher
-keys it holds were decoded at enqueue (``CommandTrace.ports``).
+:class:`VectorPortState` of its ``dest``, ``source`` and ``index`` ports,
+and its line requests (:meth:`SoftbrainSim.pattern_requests`) or element
+count — so no per-cycle code looks at the command's type.  The dispatcher
+keys it holds were decoded at enqueue (``CommandTrace.ports``).  A
+memory or scratchpad read of a request whose elements sit back to back
+(``LineRequest.contiguous``) is one call that unpacks them all.
 
 Write order belongs to the port.  Streams writing one vector port must
 deliver in program order, yet all-requests-in-flight lets the next
@@ -46,13 +48,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..core.isa.commands import Command
 from ..core.isa.patterns import (
     LINE_BYTES,
     LineRequest,
-    affine_requests,
     coalesce_indirect,
 )
 from ..trace import TraceEvent
@@ -71,7 +72,9 @@ class ActiveStream:
     """One stream-table entry; the port facts are resolved at accept.
 
     The ``(kind, port_id, role)`` keys the dispatcher holds for the stream
-    are ``trace.ports``, decoded at enqueue.
+    are ``trace.ports``, decoded at enqueue.  A pattern stream steps
+    through ``requests``, its line requests, by index: ``next_request``
+    is ``requests[request_index]``, or ``None`` once all have issued.
     """
 
     command: Command
@@ -79,7 +82,8 @@ class ActiveStream:
     dest: Optional[VectorPortState] = None
     source: Optional[VectorPortState] = None
     index: Optional[VectorPortState] = None
-    requests: Optional[Iterator[LineRequest]] = None
+    requests: Optional[Tuple[LineRequest, ...]] = None
+    request_index: int = 0
     next_request: Optional[LineRequest] = None
     elements_left: int = 0
     elements_done: int = 0
@@ -90,11 +94,12 @@ class ActiveStream:
     early_released: bool = False
 
     def advance_request(self) -> None:
-        """Pop the next line request from the pattern iterator."""
-        assert self.requests is not None
-        try:
-            self.next_request = next(self.requests)
-        except StopIteration:
+        """Step to the next line request."""
+        index = self.request_index + 1
+        self.request_index = index
+        if index < len(self.requests):
+            self.next_request = self.requests[index]
+        else:
             self.next_request = None
             self.issued_all = True
 
@@ -149,8 +154,8 @@ class StreamEngineBase:
             stream.index = port_state(ref)
         pattern = getattr(command, "pattern", None)
         if pattern is not None:
-            stream.requests = affine_requests(pattern)
-            stream.advance_request()
+            requests = stream.requests = self.sim.pattern_requests(pattern)
+            stream.next_request = requests[0]
         else:  # counted stream; SD_Config is one load
             stream.elements_left = getattr(command, "num_elements", 1)
         self.streams.append(stream)
@@ -360,15 +365,19 @@ class MemReadEngine(StreamEngineBase):
             if stream.dest is not None:  # SD_Mem_Port
                 words = memory.store.read_elements(
                     request.element_addrs, request.elem_bytes,
-                    command.pattern.signed,
+                    command.pattern.signed, request.contiguous,
                 )
                 self._buffer(stream, ready, self._corrupt(cycle, words))
                 self.sim.schedule(ready, None)
             else:  # SD_Mem_Scratch
-                data = b"".join(
-                    memory.store.read(addr, request.elem_bytes)
-                    for addr in request.element_addrs
-                )
+                if request.contiguous:
+                    data = memory.store.read(request.element_addrs[0],
+                                             request.bytes_used)
+                else:
+                    data = b"".join(
+                        memory.store.read(addr, request.elem_bytes)
+                        for addr in request.element_addrs
+                    )
                 base = (command.scratch_addr
                         + stream.elements_done * request.elem_bytes)
                 stream.elements_done += request.num_elements
@@ -481,7 +490,7 @@ class ScratchEngine(StreamEngineBase):
         request = stream.next_request
         words = self.sim.scratchpad.read_elements(
             request.element_addrs, request.elem_bytes,
-            stream.command.pattern.signed,
+            stream.command.pattern.signed, request.contiguous,
         )
         self._buffer(stream, cycle + SCRATCH_READ_LATENCY, words)
         self.sim.schedule(cycle + SCRATCH_READ_LATENCY, None)

@@ -17,6 +17,7 @@ from repro.power import (
     softbrain_area_mm2,
     softbrain_peak_power_mw,
 )
+from repro.experiments.capabilities import ARCHITECTURES, CAPABILITIES
 from repro.workloads.characterization import UNSUITABLE, characterize
 from repro.workloads.common import run_and_verify
 from repro.workloads.machsuite import build_spmv_ellpack, build_stencil2d
@@ -82,6 +83,25 @@ class TestTable1:
         for arch in ("SIMD", "SIMT", "Vector Threads", "Spatial Dataflow",
                      "Stream-Dataflow"):
             assert arch in text
+
+    def test_cells_separated_by_spaces(self):
+        """Each right-aligned cell has a space before it, so a longest
+        verdict such as "Yes SIMD/ No Scalar" cannot run into the cell
+        to its left."""
+        def assert_spaced(line, cells):
+            for cell in reversed(cells):
+                assert line.endswith(cell), (line, cell)
+                line = line[:-len(cell)]
+                assert line.endswith(" "), (line, cell)
+                line = line.rstrip(" ")
+
+        lines = format_table1().splitlines()
+        assert_spaced(lines[2], ARCHITECTURES)
+        rows = lines[4:4 + len(CAPABILITIES)]
+        for line, (_, _, verdicts) in zip(rows, CAPABILITIES):
+            assert_spaced(line, verdicts)
+        assert_spaced(lines[-1], [f"{s.score:.1f}/{s.max_score}"
+                                  for s in capability_scores()])
 
 
 class TestTable4:

@@ -111,6 +111,21 @@ class TestDispatcher:
         issued = [s.command.value for s in sim.engines["rse"].streams]
         assert issued == [1, 3]
 
+    def test_nothing_passes_a_waiting_config(self, sim):
+        from repro.core.isa import SDConfig, SDConstPort
+
+        config = sim.program.commands[0]
+        assert isinstance(config, SDConfig)
+        sim.dispatcher.enqueue(SDConstPort(1, 4, in_port(5)), 0)
+        sim.dispatcher.enqueue(config, 0)
+        sim.dispatcher.enqueue(SDConstPort(3, 4, in_port(6)), 0)  # free port
+        assert sim.dispatcher.tick(1)  # issues the in5 constant
+        # the config waits for the unit to quiesce, and the in6 command
+        # behind it may not pass it
+        assert not sim.dispatcher.tick(2)
+        issued = [s.command.value for s in sim.engines["rse"].streams]
+        assert issued == [1]
+
     def test_release_port_counts(self, sim):
         sim.dispatcher.busy_ports[("in", 1, "w")] = 2
         sim.dispatcher.release_port("in", 1, "w")

@@ -1,9 +1,45 @@
-"""Unit tests for the memory substrate and scratchpad."""
+"""Unit tests for the memory substrate and scratchpad.
+
+:func:`read_extended` here is the per-element read that the one-call
+``read_elements`` of both memories is checked against.
+"""
+
+import random
+import re
 
 import pytest
 
 from repro.sim.memory import BackingStore, MemoryParams, MemorySystem
 from repro.sim.scratchpad import Scratchpad, ScratchpadError
+from repro.trace import ListSink
+
+
+def read_extended(memory, addr, size, signed):
+    """Reference read of one narrow element of a :class:`BackingStore` or
+    :class:`Scratchpad` as a raw 64-bit word (zero- or sign-extended)."""
+    value = int.from_bytes(memory.read(addr, size), "little", signed=signed)
+    return value & 0xFFFF_FFFF_FFFF_FFFF
+
+
+def runs(size, limit):
+    """Element address lists that start anywhere below ``limit``: runs of
+    back-to-back elements (the ``contiguous`` case), and lists that are
+    not, among them an indirect gather of indices 0, 0, 1, 3 whose first
+    and last addresses are as far apart as a 4-element run's."""
+    rng = random.Random(f"runs:{size}:{limit}")
+    out = [(0, 0 + size, 0 + 2 * size), (0, 0, size, 3 * size)]
+    for _ in range(60):
+        start = rng.randrange(limit)
+        count = rng.randint(1, 32)
+        out.append(tuple(range(start, start + count * size, size)))
+        out.append(tuple(start + size * rng.choice((0, 1, 1, 2))
+                         * index for index in range(count)))
+    return out
+
+
+def is_run(addrs, size):
+    return addrs == tuple(range(addrs[0], addrs[0] + len(addrs) * size,
+                                size))
 
 
 class TestBackingStore:
@@ -36,8 +72,8 @@ class TestBackingStore:
     def test_read_extended_sign(self):
         store = BackingStore()
         store.write_word(0, -2, 2)
-        assert store.read_extended(0, 2, signed=True) == (1 << 64) - 2
-        assert store.read_extended(0, 2, signed=False) == 0xFFFE
+        assert read_extended(store, 0, 2, signed=True) == (1 << 64) - 2
+        assert read_extended(store, 0, 2, signed=False) == 0xFFFE
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("size", [1, 2, 4, 8])
@@ -55,7 +91,7 @@ class TestBackingStore:
                  5 * 4096 + 16]
         batched, single = filled(), filled()
         got = batched.read_elements(addrs, size, signed)
-        want = [single.read_extended(a, size, signed) for a in addrs]
+        want = [read_extended(single, a, size, signed) for a in addrs]
         assert got == want
         if signed and size < 8:
             assert any(w >> 63 for w in want)  # sign extension exercised
@@ -67,6 +103,26 @@ class TestBackingStore:
         store.write_word(4096 - 2, -3, 4)  # two bytes on each page
         assert store.read_elements([4096 - 2], 4, True) == [(1 << 64) - 3]
         assert store.read_elements([4096 - 2], 4, False) == [0xFFFF_FFFD]
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_one_call_reads_match_per_element(self, size, signed):
+        def filled():
+            store = BackingStore()
+            for page in (0, 1):
+                store.write(page * 4096, bytes(
+                    (i * 91 + 0x80 * (i % 3)) & 0xFF for i in range(4096)))
+            return store
+
+        # runs inside a page, runs that cross into the next page or into
+        # an untouched one, and address lists that are not runs
+        for addrs in runs(size, 3 * 4096):
+            batched, single = filled(), filled()
+            got = batched.read_elements(addrs, size, signed,
+                                        is_run(addrs, size))
+            want = [read_extended(single, a, size, signed) for a in addrs]
+            assert got == want, addrs
+            assert batched.snapshot_pages() == single.snapshot_pages()
 
     def test_sparse_pages_far_apart(self):
         store = BackingStore()
@@ -146,7 +202,7 @@ class TestScratchpad:
         scratch = Scratchpad()
         scratch.write_word(8, -3, 8)
         assert scratch.read_word(8, signed=True) == -3
-        assert scratch.read_extended(8, 8, False) == (1 << 64) - 3
+        assert read_extended(scratch, 8, 8, False) == (1 << 64) - 3
 
     def test_stats(self):
         scratch = Scratchpad()
@@ -171,9 +227,39 @@ class TestScratchpad:
         single, single_sink = filled()
         for signed in (False, True):
             assert batched.read_elements(addrs, 2, signed) == [
-                single.read_extended(a, 2, signed) for a in addrs]
+                read_extended(single, a, 2, signed) for a in addrs]
         assert vars(batched.stats) == vars(single.stats)
         assert batched_sink.events == single_sink.events
         assert len(batched_sink.events) == 2 * len(addrs)
         with pytest.raises(ScratchpadError):
             batched.read_elements([4095], 2, False)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_one_call_reads_match_per_element(self, size, signed):
+        """Values, stats and trace events, also for runs that leave the
+        scratchpad: the read raises at the first element outside it, with
+        the elements before it counted, exactly as per-element reads do."""
+        def filled():
+            scratch = Scratchpad()
+            scratch.write(0, bytes((i * 29 + 0x80 * (i % 2)) & 0xFF
+                                   for i in range(4096)))
+            sink = ListSink()
+            scratch.attach_trace(sink, 0, lambda: 3)
+            return scratch, sink
+
+        for addrs in runs(size, 4096 + 4 * size):
+            batched, batched_sink = filled()
+            single, single_sink = filled()
+            try:
+                want = [read_extended(single, a, size, signed) for a in addrs]
+            except ScratchpadError as exc:
+                with pytest.raises(ScratchpadError, match=re.escape(str(exc))):
+                    batched.read_elements(addrs, size, signed,
+                                          is_run(addrs, size))
+            else:
+                assert batched.read_elements(
+                    addrs, size, signed, is_run(addrs, size)) == want
+            assert vars(batched.stats) == vars(single.stats), addrs
+            assert batched_sink.events == single_sink.events
+            assert batched.snapshot() == single.snapshot()
