@@ -90,7 +90,15 @@ def capability_scores() -> List[CapabilityScore]:
 
 
 def format_table1() -> str:
-    width = max(len(row[1]) for row in CAPABILITIES) + 2
+    # each row's label is its capability behind a group prefix (the group
+    # name on the group's first row, an indent on the others)
+    labels = []
+    group_seen = set()
+    for group, capability, _ in CAPABILITIES:
+        prefix = f"[{group}] " if group not in group_seen else "       "
+        group_seen.add(group)
+        labels.append(prefix + capability)
+    width = max(len(label) for label in labels) + 2
     # every column is as wide as its longest cell plus a separating gap
     column = 2 + max(len(cell) for _, _, verdicts in CAPABILITIES
                      for cell in verdicts + ARCHITECTURES)
@@ -101,11 +109,7 @@ def format_table1() -> str:
         header,
         "-" * len(header),
     ]
-    group_seen = set()
-    for group, capability, verdicts in CAPABILITIES:
-        prefix = f"[{group}] " if group not in group_seen else "       "
-        group_seen.add(group)
-        label = (prefix + capability)[: width - 1]
+    for label, (_, _, verdicts) in zip(labels, CAPABILITIES):
         lines.append(f"{label:{width}}"
                      + "".join(f"{v:>{column}}" for v in verdicts))
     lines.append("-" * len(header))

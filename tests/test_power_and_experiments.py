@@ -84,6 +84,11 @@ class TestTable1:
                      "Stream-Dataflow"):
             assert arch in text
 
+    def test_labels_hold_their_full_capability_text(self):
+        rows = format_table1().splitlines()[4:4 + len(CAPABILITIES)]
+        for line, (_, capability, _) in zip(rows, CAPABILITIES):
+            assert capability + " " in line, (line, capability)
+
     def test_cells_separated_by_spaces(self):
         """Each right-aligned cell has a space before it, so a longest
         verdict such as "Yes SIMD/ No Scalar" cannot run into the cell
