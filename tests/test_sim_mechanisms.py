@@ -223,7 +223,9 @@ class CycleTableTest:
     CGRA's action in the cycle (``fire``, ``stall:<cause>``, or ``-`` for
     none, as in a cycle the run fast-forwards over).  Each issue is the
     stream the engine issued in the cycle, named by the DFG port it
-    writes (its command label if it writes none), or ``-``.  Each port
+    writes (its command label if it writes none), or ``-``; an engine
+    that issues two streams in one cycle (the SSE) lists both, comma
+    separated, in issue order.  Each port
     state is ``occupancy+reserved`` at the end of the cycle.  Every
     mismatch is collected, and the test fails once, naming the rule, the
     signal and the cycle of each.
@@ -256,9 +258,11 @@ class CycleTableTest:
             if event.kind == "stream.issue" and event.component in issues:
                 command = commands[event.data["index"]]
                 dest = getattr(command, "dest", None)
-                issues[event.component][event.cycle] = (
-                    event.data["command"] if dest is None
-                    else port_names.get(str(dest), str(dest)))
+                stream = (event.data["command"] if dest is None
+                          else port_names.get(str(dest), str(dest)))
+                seen = issues[event.component]
+                seen[event.cycle] = (f"{seen[event.cycle]},{stream}"
+                                     if event.cycle in seen else stream)
             elif event.kind == "cgra.fire":
                 cgra[event.cycle] = "fire"
             elif event.kind == "cgra.stall":
@@ -486,3 +490,164 @@ class TestCgraFiringRule(CycleTableTest):
             (latency,    "t+30",      "-",                     "0+0",  "0+0",  "0+0"),
         ]
         return program, fabric, memory, ("A", "B", "O"), anchors, table
+
+
+def _gated(fabric):
+    """``A + C -> O``: a port fills without the CGRA draining it while
+    ``C`` stays empty."""
+    return schedule(parse_dfg("input A\ninput C\nx = add A C\noutput O x",
+                              "gated"), fabric)
+
+
+def _filled_output(program):
+    """Fire 16 instances into ``O`` (a 16-word port) and wait for them."""
+    program.const_port(1, 16, "A")
+    program.const_port(2, 16, "C")
+    program.barrier_all()
+
+
+class TestStreamRetire(CycleTableTest):
+    """A stream retires in its engine's tick only after every stream of
+    the engine has drained, so a port's next writer, whose data may
+    already wait in the same engine, delivers in the next cycle."""
+
+    @cycle_test
+    def test_next_writer_delivers_the_cycle_after_retire(self):
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0x10000, [100, 101])  # cold: DRAM latency
+        write_words(memory, 0x1000, [1, 2])
+        memory.warm(0x1000, 16)
+        program = StreamProgram("retire", _gated(fabric))
+        # all-requests-in-flight releases A, so the second read issues
+        # while the first one's data is still on its way
+        program.mem_port(0x10000, 16, 16, 1, "A")
+        program.mem_port(0x1000, 16, 16, 1, "A")
+        program.barrier_all()
+        program.const_port(0, 4, "C")
+        program.port_mem("O", 32, 32, 1, 0x30000)
+        program.barrier_all()
+        anchors = {
+            # the second read's data is ready (an L2 hit)
+            "h": lambda events: next(
+                e.data["ready"] for e in events if e.kind == "mem.access"
+                and e.data["line_addr"] == 0x1000),
+            "r": _first("command.complete", command="SD_MemPort"),
+        }
+        order, retire = "writers deliver in order", "retire after drains"
+        stall = "stall:no_input"
+        table = [
+            # rule   cycles      cgra   mse_read  A
+            (order,  "h+0..r-1", "-",   "-",      "0+0"),
+            (retire, "r+0",      stall, "-",      "2+0"),
+            (retire, "r+1",      stall, "-",      "4+0"),
+        ]
+        return (program, fabric, memory, ("A",), anchors, table,
+                ("mse_read",))
+
+
+class TestRecurrenceEngine(CycleTableTest):
+    """The recurrence engine issues one ready stream per cycle, round
+    robin: the pointer steps by one and wraps over the number of ready
+    streams in that cycle, so it skips as the table shrinks."""
+
+    @cycle_test
+    def test_round_robin_over_ready_streams(self):
+        fabric = dnn_provisioned()
+        config = schedule(parse_dfg(
+            "input A\ninput B\ninput C\ninput D\nx = add A B\n"
+            "y = add C D\nz = add x y\noutput O z", "gated-sum"), fabric)
+        program = StreamProgram("round-robin", config)
+        # one stream per cycle reaches the table; each issues 8 words
+        # twice into its 16-word port
+        program.const_port(1, 16, "A")
+        program.const_port(2, 16, "B")
+        program.const_port(3, 16, "C")
+        program.barrier_all()
+        program.const_port(4, 16, "D")
+        program.port_mem("O", 128, 128, 1, 0x30000)
+        program.barrier_all()
+        anchors = {"d": _first("stream.issue", command="SD_ConstPort")}
+        alone, rr = "only ready stream", "round robin"
+        stall = "stall:no_input"
+        table = [
+            # rule   cycles  cgra   rse  A       B       C
+            (alone,  "d+0",  stall, "A", "8+0",  "0+0",  "0+0"),
+            (rr,     "d+1",  stall, "B", "8+0",  "8+0",  "0+0"),
+            (rr,     "d+2",  stall, "C", "8+0",  "8+0",  "8+0"),
+            (rr,     "d+3",  stall, "A", "16+0", "8+0",  "8+0"),
+            # A has retired: the pointer (1) now picks C of [B, C]
+            (rr,     "d+4",  stall, "C", "16+0", "8+0",  "16+0"),
+            (alone,  "d+5",  stall, "B", "16+0", "16+0", "16+0"),
+            (alone,  "d+6",  stall, "-", "16+0", "16+0", "16+0"),
+        ]
+        return (program, fabric, MemorySystem(), ("A", "B", "C"), anchors,
+                table, ("rse",))
+
+
+class TestScratchEngine(CycleTableTest):
+    """The scratchpad engine has one read and one write port: in one
+    cycle it issues a read stream's line request and a write stream's
+    words."""
+
+    @cycle_test
+    def test_read_and_write_issue_in_one_cycle(self):
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0x1000, list(range(100, 164)))
+        memory.warm(0x1000, 512)
+        program = StreamProgram("sse", _gated(fabric))
+        program.mem_scratch(0x1000, 512, 512, 1, 0)
+        _filled_output(program)
+        program.scratch_port(0, 64, 8, 8, "A")  # one word per request
+        program.port_scratch("O", 16, 0x400)  # 8 words per cycle
+        program.barrier_all()
+        program.const_port(3, 8, "C")
+        program.port_mem("O", 64, 64, 1, 0x30000)
+        program.barrier_all()
+        anchors = {"d": _first("stream.issue", command="SD_ScratchPort")}
+        read, both = "one read", "one read and one write"
+        stall = "stall:no_input"
+        table = [
+            # rule  cycles  cgra   sse                 A      O
+            (read,  "d+0",  "-",   "A",                "0+0", "16+0"),
+            (read,  "d+1",  "-",   "A",                "0+0", "16+0"),
+            (both,  "d+2",  stall, "A,SD_PortScratch", "1+0", "8+0"),
+            (both,  "d+3",  stall, "A,SD_PortScratch", "2+0", "0+0"),
+            (read,  "d+4",  stall, "A",                "3+0", "0+0"),
+            (read,  "d+7",  stall, "A",                "6+0", "0+0"),
+            (read,  "d+8",  stall, "-",                "7+0", "0+0"),
+        ]
+        return program, fabric, memory, ("A", "O"), anchors, table, ("sse",)
+
+
+class TestMemorySlot(CycleTableTest):
+    """The memory interface accepts one line request per cycle, shared by
+    the read and write engines; the read engine ticks first, so a ready
+    write stream waits while reads issue."""
+
+    @cycle_test
+    def test_read_and_write_engines_share_one_request(self):
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0x1000, list(range(100, 164)))
+        memory.warm(0x1000, 512)
+        program = StreamProgram("mem-slot", _gated(fabric))
+        _filled_output(program)
+        program.mem_port(0x1000, 64, 8, 8, "A")  # 8 one-word requests
+        program.port_mem("O", 64, 8, 16, 0x8000)  # 16 one-word requests
+        program.barrier_all()
+        program.const_port(3, 8, "C")
+        program.port_mem("O", 64, 64, 1, 0x30000)
+        program.barrier_all()
+        anchors = {"d": _first("stream.issue", command="SD_MemPort")}
+        alone, shared = "only ready stream", "one request per cycle"
+        table = [
+            # rule   cycles      cgra  mse_read  mse_write     A      O
+            (alone,  "d+0..d+2", "-",  "A",      "-",          "0+0", "16+0"),
+            (shared, "d+3..d+7", "-",  "A",      "-",          "0+0", "16+0"),
+            (alone,  "d+8",      "-",  "-",      "SD_PortMem", "0+0", "15+0"),
+            (alone,  "d+9",      "-",  "-",      "SD_PortMem", "0+0", "14+0"),
+        ]
+        return (program, fabric, memory, ("A", "O"), anchors, table,
+                ("mse_read", "mse_write"))
