@@ -302,9 +302,6 @@ class CgraExecutor:
             )
             for name, port in dfg.inputs.items()
         ]
-        #: ``(fifo, width)`` per input port, for :meth:`can_fire`
-        self._input_fifos = [(port.fifo, width)
-                             for _, width, port in self.inputs]
         self.outputs: List[Tuple[str, int, VectorPortState]] = [
             (
                 name,
@@ -313,6 +310,9 @@ class CgraExecutor:
             )
             for name, port in dfg.outputs.items()
         ]
+        #: ``(port, width)`` per input and per output, for the firing rule
+        self._inputs = [(port, width) for _, width, port in self.inputs]
+        self._outputs = [(port, width) for _, width, port in self.outputs]
         # Per-firing cost bookkeeping, computed once.
         self.ops_per_instance = dfg.num_instructions
         self.fu_ops_per_instance: Dict[str, int] = config.active_fus()
@@ -324,56 +324,55 @@ class CgraExecutor:
 
     def can_fire(self) -> str:
         """The stall cause (``"input"`` or ``"output"``), or ``""`` when
-        an instance can fire this cycle."""
-        for fifo, width in self._input_fifos:
-            if len(fifo) < width:
+        an instance can fire this cycle; :meth:`tick` tests the same rule
+        inline."""
+        for port, width in self._inputs:
+            if port.occupancy < width:
                 return "input"
-        for _, width, port in self.outputs:
+        for port, width in self._outputs:
             if port.free_words < width:
                 return "output"
         return ""
 
     def tick(self, cycle: int) -> bool:
         """Fire at most one instance (II = 1)."""
-        why = self.can_fire()
-        sink = self.sim.trace
-        if why:
-            # Only count stalls while there is actually upstream data;
-            # the cgra.stall emissions mirror the counters one-for-one.
-            if why == "output":
+        inputs = self._inputs
+        for port, width in inputs:
+            if port.occupancy < width:
+                # Only count stalls while there is actually upstream data.
+                for other, _ in inputs:
+                    if other.occupancy:
+                        self.sim.stats.cgra_stall_no_input += 1
+                        if self.sim.trace.enabled:
+                            self._trace_stall(cycle, "no_input")
+                        break
+                return False
+        for port, width in self._outputs:
+            if port.free_words < width:
                 self.sim.stats.cgra_stall_no_output_room += 1
-                if sink.enabled:
-                    sink.emit(TraceEvent(
-                        "cgra.stall", cycle, self.sim.unit, "cgra",
-                        {"cause": "no_output_room"},
-                    ))
-            elif any(port.fifo for _, _, port in self.inputs):
-                self.sim.stats.cgra_stall_no_input += 1
-                if sink.enabled:
-                    sink.emit(TraceEvent(
-                        "cgra.stall", cycle, self.sim.unit, "cgra",
-                        {"cause": "no_input"},
-                    ))
-            return False
-        if len(self.inputs) == 1:
-            _, width, port = self.inputs[0]
+                if self.sim.trace.enabled:
+                    self._trace_stall(cycle, "no_output_room")
+                return False
+        if len(inputs) == 1:
+            port, width = inputs[0]
             words = port.pop_words(width)
         else:
             words = []
-            for _, width, port in self.inputs:
+            for port, width in inputs:
                 words += port.pop_words(width)
         results = self.compiled.run(words, self.state)
         injector = self.sim.faults
         if injector is not None and cycle >= injector.cgra_at:
             injector.flip_cgra_output(
                 cycle, dict(zip(self.compiled.dfg.outputs, results)))
-        for _, width, port in self.outputs:
+        for port, width in self._outputs:
             port.reserve(width)
         self.deliveries.append((cycle + self.latency, results))
         self.fired += 1
         stats = self.sim.stats
         stats.instances_fired += 1
         stats.ops_executed += self.ops_per_instance
+        sink = self.sim.trace
         if sink.enabled:
             sink.emit(TraceEvent(
                 "cgra.fire", cycle, self.sim.unit, "cgra",
@@ -382,13 +381,18 @@ class CgraExecutor:
             ))
         return True
 
+    def _trace_stall(self, cycle: int, cause: str) -> None:
+        """Emit the ``cgra.stall`` event mirroring a stall counter bump."""
+        self.sim.trace.emit(TraceEvent("cgra.stall", cycle, self.sim.unit,
+                                       "cgra", {"cause": cause}))
+
     def deliver(self, cycle: int) -> None:
         """Push every delivery due by ``cycle`` into the output ports."""
         deliveries = self.deliveries
-        outputs = self.outputs
+        outputs = self._outputs
         while deliveries and deliveries[0][0] <= cycle:
             results = deliveries.popleft()[1]
-            for (_, _, port), words in zip(outputs, results):
+            for (port, _), words in zip(outputs, results):
                 port.push(words)
 
     def fold_activity(self) -> None:

@@ -15,35 +15,43 @@ from typing import Deque, List
 from ..cgra.fabric import HwVectorPort
 from .errors import PortRuntimeError
 
-__all__ = ["PortRuntimeError", "VectorPortState"]
+__all__ = ["COMPACT_WORDS", "PortRuntimeError", "VectorPortState"]
+
+#: popped words a port's list may hold before a pop drops them
+COMPACT_WORDS = 64
 
 
 class VectorPortState:
     """Runtime FIFO for one hardware vector port.
 
     Words enter via :meth:`push` (after :meth:`reserve`), leave via
-    :meth:`pop_words`.  ``reserved`` counts reserved-but-unarrived words so
-    producers never overrun the FIFO.  ``writers`` holds the active
-    streams writing this port in program order (appended when a stream is
-    accepted, removed when it retires); only the first may deliver.
+    :meth:`pop_words`.  The resident words are ``words[head:]``; a pop
+    moves ``head`` and drops the popped words once ``head`` passes
+    :data:`COMPACT_WORDS` or the FIFO empties.  ``reserved`` counts
+    reserved-but-unarrived words so producers never overrun the FIFO.
+    ``occupancy``, ``reserved`` and ``free_words`` are plain counts that
+    every operation keeps up to date: ``occupancy + reserved + free_words
+    == capacity_words``.  ``writers`` holds the active streams writing
+    this port in program order (appended when a stream is accepted,
+    removed when it retires); only the first may deliver.
     """
 
     def __init__(self, spec: HwVectorPort) -> None:
         self.spec = spec
         self.capacity_words = spec.capacity_words
-        self.fifo: Deque[int] = deque()
+        self.words: List[int] = []
+        self.head = 0
+        self.occupancy = 0
         self.reserved = 0
+        self.free_words = self.capacity_words
         self.total_pushed = 0
         self.total_popped = 0
         self.writers: Deque = deque()
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.fifo)
-
-    @property
-    def free_words(self) -> int:
-        return self.capacity_words - len(self.fifo) - self.reserved
+    def peek(self, nwords: int) -> List[int]:
+        """The first ``nwords`` resident words (fewer if fewer are)."""
+        head = self.head
+        return self.words[head:head + nwords]
 
     def reserve(self, nwords: int) -> None:
         if nwords > self.free_words:
@@ -52,37 +60,50 @@ class VectorPortState:
                 f"{nwords} > free {self.free_words}"
             )
         self.reserved += nwords
+        self.free_words -= nwords
 
     def push(self, words: List[int], reserved: bool = True) -> None:
+        count = len(words)
         if reserved:
-            if len(words) > self.reserved:
+            if count > self.reserved:
                 raise PortRuntimeError(
                     f"port {self.spec.name}: push "
-                    f"{len(words)} exceeds reservation {self.reserved}"
+                    f"{count} exceeds reservation {self.reserved}"
                 )
-            self.reserved -= len(words)
-        elif len(words) > self.free_words:
+            self.reserved -= count
+        elif count > self.free_words:
             raise PortRuntimeError(
                 f"port {self.spec.name}: push "
-                f"{len(words)} > free {self.free_words}"
+                f"{count} > free {self.free_words}"
             )
-        self.fifo.extend(words)
-        self.total_pushed += len(words)
+        else:
+            self.free_words -= count
+        self.words += words
+        self.occupancy += count
+        self.total_pushed += count
 
     def pop_words(self, nwords: int) -> List[int]:
-        fifo = self.fifo
-        if len(fifo) < nwords:
+        occupancy = self.occupancy
+        if nwords > occupancy:
             raise PortRuntimeError(
                 f"port {self.spec.name}: pop "
-                f"{nwords} > occupancy {len(fifo)}"
+                f"{nwords} > occupancy {occupancy}"
             )
+        head = self.head
+        end = head + nwords
+        words = self.words[head:end]
+        self.occupancy = occupancy - nwords
+        self.free_words += nwords
         self.total_popped += nwords
-        if nwords == len(fifo):  # common full-drain case: one bulk copy
-            words = list(fifo)
-            fifo.clear()
-            return words
-        popleft = fifo.popleft
-        return [popleft() for _ in range(nwords)]
+        if nwords == occupancy:
+            self.words = []
+            self.head = 0
+        elif end > COMPACT_WORDS:
+            del self.words[:end]
+            self.head = 0
+        else:
+            self.head = end
+        return words
 
     def __repr__(self) -> str:
         return (

@@ -1,5 +1,8 @@
 """Unit tests for vector ports, dispatcher behaviour and the control core."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.cgra.fabric import HwVectorPort, dnn_provisioned
@@ -12,6 +15,7 @@ from repro.sim import (
     SoftbrainSim,
     VectorPortState,
 )
+from repro.sim.vector_port import COMPACT_WORDS
 
 
 def make_port(width=4, depth=4, direction="in"):
@@ -63,6 +67,86 @@ class TestVectorPortState:
         port.pop_words(2)
         assert port.total_pushed == 2
         assert port.total_popped == 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_operations_match_a_deque(self, seed):
+        """Random pushes, pops and reservations against a deque model;
+        the counts stay consistent after every operation."""
+        rng = random.Random(seed)
+        port = make_port(width=rng.choice([1, 2, 8]), depth=16)
+        model, reserved, word = deque(), 0, 0
+        for _ in range(400):
+            free = port.capacity_words - len(model) - reserved
+            op = rng.choice(["reserve", "push", "push_free", "pop", "peek"])
+            if op == "reserve" and free:
+                count = rng.randint(1, free)
+                port.reserve(count)
+                reserved += count
+            elif op == "push" and reserved:
+                words = list(range(word, word + rng.randint(1, reserved)))
+                port.push(words)
+                model.extend(words)
+                reserved -= len(words)
+                word += len(words)
+            elif op == "push_free" and free:
+                words = list(range(word, word + rng.randint(1, free)))
+                port.push(words, reserved=False)
+                model.extend(words)
+                word += len(words)
+            elif op == "pop" and model:
+                count = rng.randint(1, len(model))
+                assert port.pop_words(count) == [model.popleft()
+                                                 for _ in range(count)]
+            elif op == "peek":
+                count = rng.randint(0, 10)
+                assert port.peek(count) == list(model)[:count]
+            assert port.occupancy == len(model)
+            assert port.reserved == reserved
+            assert (port.occupancy + port.reserved + port.free_words
+                    == port.capacity_words)
+            assert port.words[port.head:] == list(model)
+
+    def test_pops_across_the_compaction_bound(self):
+        port = make_port(width=8, depth=32)
+        port.push(list(range(199)), reserved=False)
+        popped = []
+        while port.occupancy > 3:  # 28 pops of 7 words
+            popped += port.pop_words(7)
+            assert port.head <= COMPACT_WORDS
+            assert port.words[port.head:] == list(range(len(popped), 199))
+        assert popped == list(range(196))
+        assert port.pop_words(3) == [196, 197, 198]
+        assert (port.words, port.head, port.free_words) == ([], 0, 256)
+
+    def test_pop_all_after_partial_pops(self):
+        port = make_port(width=8, depth=4)
+        port.push([1, 2, 3, 4, 5], reserved=False)
+        assert port.pop_words(2) == [1, 2]
+        port.push([6], reserved=False)
+        assert port.pop_words(4) == [3, 4, 5, 6]
+        assert (port.occupancy, port.free_words, port.head) == (0, 32, 0)
+        port.push([7], reserved=False)
+        assert port.pop_words(1) == [7]
+
+    def test_error_messages(self):
+        port = make_port(width=1, depth=2)  # "in0", 2 words
+        with pytest.raises(PortRuntimeError, match=r"^port in0: reserve "
+                           r"3 > free 2$"):
+            port.reserve(3)
+        port.reserve(1)
+        with pytest.raises(PortRuntimeError, match=r"^port in0: push "
+                           r"2 exceeds reservation 1$"):
+            port.push([1, 2])
+        with pytest.raises(PortRuntimeError, match=r"^port in0: push "
+                           r"2 > free 1$"):
+            port.push([1, 2], reserved=False)
+        with pytest.raises(PortRuntimeError, match=r"^port in0: pop "
+                           r"1 > occupancy 0$"):
+            port.pop_words(1)
+        port.push([9])
+        with pytest.raises(PortRuntimeError, match=r"^port in0: pop "
+                           r"2 > occupancy 1$"):
+            port.pop_words(2)
 
 
 @pytest.fixture()
