@@ -42,6 +42,18 @@ def is_run(addrs, size):
                                 size))
 
 
+#: name -> (size, signed, element addresses) of a strided line request
+#: (not a run), inside page 0, which is also the whole scratchpad
+NAMED_READS = {
+    "stride_2": (8, False, tuple(range(64, 64 + 8 * 16, 16))),
+    "signed_4_byte": (4, True, (8, 20, 24, 40, 44)),
+    "stride_0": (8, False, (128,) * 4),
+    "overlapped": (4, False, (256, 258, 260)),
+    # the last element ends at the end of the page (and the scratchpad)
+    "page_end": (8, False, tuple(range(4096 - 8 - 3 * 16, 4096, 16))),
+}
+
+
 class TestBackingStore:
     def test_read_write_round_trip(self):
         store = BackingStore()
@@ -123,6 +135,17 @@ class TestBackingStore:
             want = [read_extended(single, a, size, signed) for a in addrs]
             assert got == want, addrs
             assert batched.snapshot_pages() == single.snapshot_pages()
+
+    @pytest.mark.parametrize("name", sorted(NAMED_READS))
+    def test_one_call_reads_named_cases(self, name):
+        size, signed, addrs = NAMED_READS[name]
+        store = BackingStore()
+        store.write(0, bytes((i * 91 + 0x80 * (i % 3)) & 0xFF
+                             for i in range(4096)))
+        want = [read_extended(store, a, size, signed) for a in addrs]
+        if signed:
+            assert any(w >> 63 for w in want)  # sign extension exercised
+        assert store.read_elements(addrs, size, signed) == want
 
     def test_sparse_pages_far_apart(self):
         store = BackingStore()
@@ -263,3 +286,22 @@ class TestScratchpad:
             assert vars(batched.stats) == vars(single.stats), addrs
             assert batched_sink.events == single_sink.events
             assert batched.snapshot() == single.snapshot()
+
+    @pytest.mark.parametrize("name", sorted(NAMED_READS))
+    def test_one_call_reads_named_cases(self, name):
+        size, signed, addrs = NAMED_READS[name]
+
+        def filled():
+            scratch = Scratchpad()
+            scratch.write(0, bytes((i * 29 + 0x80 * (i % 2)) & 0xFF
+                                   for i in range(4096)))
+            sink = ListSink()
+            scratch.attach_trace(sink, 0, lambda: 3)
+            return scratch, sink
+
+        batched, batched_sink = filled()
+        single, single_sink = filled()
+        want = [read_extended(single, a, size, signed) for a in addrs]
+        assert batched.read_elements(addrs, size, signed) == want
+        assert vars(batched.stats) == vars(single.stats)
+        assert batched_sink.events == single_sink.events
