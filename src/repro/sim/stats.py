@@ -83,9 +83,6 @@ class SimStats:
         for fu_name, count in fu_ops.items():
             self.fu_activity[fu_name] = self.fu_activity.get(fu_name, 0) + count
 
-    def note_engine_busy(self, engine: str) -> None:
-        self.engine_busy[engine] = self.engine_busy.get(engine, 0) + 1
-
     @property
     def ops_per_cycle(self) -> float:
         return self.ops_executed / self.cycles if self.cycles else 0.0

@@ -86,12 +86,6 @@ class TestSimStats:
         assert stats.ops_per_cycle == 0.0
         assert stats.cgra_utilization == 0.0
 
-    def test_engine_busy(self):
-        stats = SimStats()
-        stats.note_engine_busy("mse_read")
-        stats.note_engine_busy("mse_read")
-        assert stats.engine_busy == {"mse_read": 2}
-
 
 class TestTimeline:
     def _command(self):
