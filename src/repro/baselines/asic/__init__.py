@@ -8,7 +8,7 @@ constants (:mod:`power_area`), and a design-space sweep with iso-performance
 Pareto selection picks the reported point (:mod:`dse`).
 """
 
-from .ddg import Ddg, DdgNode, Evaluator, OP_COSTS, TraceBuilder, TracedValue
+from .ddg import Ddg, Evaluator, OP_COSTS, TraceBuilder, TracedValue
 from .dse import explore_design_space, select_iso_performance
 from .power_area import AsicEstimate, estimate_power_area, local_sram_kb
 from .schedule import AsicDesign, ScheduleResult, schedule_ddg
@@ -17,7 +17,6 @@ __all__ = [
     "AsicDesign",
     "AsicEstimate",
     "Ddg",
-    "DdgNode",
     "Evaluator",
     "OP_COSTS",
     "ScheduleResult",

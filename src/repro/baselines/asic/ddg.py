@@ -16,7 +16,6 @@ records the dependence graph as a side effect.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.dfg.instructions import div_trunc
@@ -48,38 +47,23 @@ OP_RESOURCE: Dict[str, str] = {
 }
 
 
-@dataclass
-class DdgNode:
-    """One dynamic operation."""
-
-    node_id: int
-    kind: str
-    deps: Tuple[int, ...]
-    array: Optional[str] = None  # for load/store: which array it touches
-    index: int = 0  # element index within the array (for partitioning)
-
-    @property
-    def latency(self) -> int:
-        return OP_COSTS[self.kind][0]
-
-    @property
-    def energy_pj(self) -> float:
-        return OP_COSTS[self.kind][1]
-
-    @property
-    def resource(self) -> str:
-        return OP_RESOURCE[self.kind]
-
-
 class Ddg:
-    """A complete dynamic dependence graph plus array metadata."""
+    """A complete dynamic dependence graph plus array metadata.
+
+    Ops are held as columns, one entry per op in program order; an op's id
+    is its position.  ``mem_arrays`` and ``mem_indices`` name the array
+    element a load or store touches (``None`` and 0 for other ops).
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.nodes: List[DdgNode] = []
+        self.kinds: List[str] = []
+        self.deps: List[Tuple[int, ...]] = []
+        self.mem_arrays: List[Optional[str]] = []
+        self.mem_indices: List[int] = []
         self.arrays: Dict[str, int] = {}  # array name -> element count
         # Kept by :meth:`add`, so design-point estimates do not walk every
-        # node: a running op histogram, and the energy total cached on first
+        # op: a running op histogram, and the energy total cached on first
         # use (``sum`` itself, as its float result differs from a ``+=``
         # loop from Python 3.12 on).
         self._histogram: Dict[str, int] = {}
@@ -89,33 +73,36 @@ class Ddg:
             index: int = 0) -> int:
         if kind not in OP_COSTS:
             raise KeyError(f"unknown DDG op kind {kind!r}")
-        node_id = len(self.nodes)
-        self.nodes.append(DdgNode(node_id, kind, tuple(deps), array, index))
+        op = len(self.kinds)
+        self.kinds.append(kind)
+        self.deps.append(tuple(deps))
+        self.mem_arrays.append(array)
+        self.mem_indices.append(index)
         self._histogram[kind] = self._histogram.get(kind, 0) + 1
         self._energy_pj = None
-        return node_id
+        return op
 
     def declare_array(self, name: str, elements: int) -> None:
         self.arrays[name] = elements
 
     @property
     def num_ops(self) -> int:
-        return len(self.nodes)
+        return len(self.kinds)
 
     def op_histogram(self) -> Dict[str, int]:
         return dict(self._histogram)
 
     def total_energy_pj(self) -> float:
         if self._energy_pj is None:
-            self._energy_pj = sum(node.energy_pj for node in self.nodes)
+            self._energy_pj = sum(OP_COSTS[kind][1] for kind in self.kinds)
         return self._energy_pj
 
     def critical_path(self) -> int:
         """Longest latency-weighted dependence chain (min possible cycles)."""
-        finish = [0] * len(self.nodes)
-        for node in self.nodes:
-            start = max((finish[d] for d in node.deps), default=0)
-            finish[node.node_id] = start + node.latency
+        finish: List[int] = []
+        for kind, deps in zip(self.kinds, self.deps):
+            start = max((finish[d] for d in deps), default=0)
+            finish.append(start + OP_COSTS[kind][0])
         return max(finish, default=0)
 
 

@@ -15,6 +15,15 @@ from typing import Dict, List
 
 from .ddg import OP_COSTS, OP_RESOURCE, Ddg
 
+#: the schedulable resource classes, in :attr:`AsicDesign.resources` order
+RESOURCES = ("alu", "mul", "div", "special", "mem")
+
+#: op kind -> (index of its resource in ``RESOURCES``, latency cycles)
+_OP_SLOT = {
+    kind: (RESOURCES.index(OP_RESOURCE[kind]), latency)
+    for kind, (latency, _) in OP_COSTS.items()
+}
+
 
 @dataclass(frozen=True)
 class AsicDesign:
@@ -63,25 +72,25 @@ def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
     finish where its resource is not full.  Full cycles are found through a
     per-resource "next non-full cycle" map with path compression
     (union-find), so a saturated resource costs amortized logarithmic time
-    per op instead of a probe over every full cycle.
+    per op instead of a probe over every full cycle.  Resources are indexed
+    as in ``RESOURCES``.
     """
     resources = design.resources
+    capacity = [resources[name] for name in RESOURCES]
     # usage[resource][cycle] = slots consumed that cycle
-    usage: Dict[str, Dict[int, int]] = {name: {} for name in resources}
+    usage: List[Dict[int, int]] = [{} for _ in RESOURCES]
     # skip[resource][cycle] = a later cycle to try; present only when full
-    skip: Dict[str, Dict[int, int]] = {name: {} for name in resources}
-    finish: List[int] = [0] * ddg.num_ops
-    busy: Dict[str, int] = {name: 0 for name in resources}
+    skip: List[Dict[int, int]] = [{} for _ in RESOURCES]
+    finish: List[int] = []
     last_cycle = 0
 
-    for node in ddg.nodes:
+    for kind, deps in zip(ddg.kinds, ddg.deps):
         earliest = 0
-        for dep in node.deps:
+        for dep in deps:
             if finish[dep] > earliest:
                 earliest = finish[dep]
-        kind = node.kind
-        resource = OP_RESOURCE[kind]
-        slot_skip = skip[resource]
+        slot, latency = _OP_SLOT[kind]
+        slot_skip = skip[slot]
         cycle = earliest
         while cycle in slot_skip:
             cycle = slot_skip[cycle]
@@ -91,15 +100,19 @@ def schedule_ddg(ddg: Ddg, design: AsicDesign) -> ScheduleResult:
             passed_next = slot_skip[passed]
             slot_skip[passed] = cycle
             passed = passed_next
-        slot_usage = usage[resource]
+        slot_usage = usage[slot]
         used = slot_usage.get(cycle, 0) + 1
         slot_usage[cycle] = used
-        if used >= resources[resource]:
+        if used >= capacity[slot]:
             slot_skip[cycle] = cycle + 1
-        busy[resource] += 1
-        done = cycle + OP_COSTS[kind][0]
-        finish[node.node_id] = done
+        done = cycle + latency
+        finish.append(done)
         if done > last_cycle:
             last_cycle = done
 
+    # Every op takes one slot of its resource, so the busy counts are the
+    # op histogram summed per resource.
+    busy = dict.fromkeys(RESOURCES, 0)
+    for kind, count in ddg.op_histogram().items():
+        busy[OP_RESOURCE[kind]] += count
     return ScheduleResult(design, max(last_cycle, 1), ddg.num_ops, busy)

@@ -335,11 +335,10 @@ CENSUS = {
 
 
 def _ddg_sha(ddg):
-    """SHA-256 over every node's (kind, deps, array, index) and the arrays."""
+    """SHA-256 over every op's (kind, deps, array, index) and the arrays."""
     digest = hashlib.sha256()
-    for node in ddg.nodes:
-        digest.update(
-            repr((node.kind, node.deps, node.array, node.index)).encode())
+    for op in zip(ddg.kinds, ddg.deps, ddg.mem_arrays, ddg.mem_indices):
+        digest.update(repr(op).encode())
     digest.update(repr(sorted(ddg.arrays.items())).encode())
     return digest.hexdigest()
 
