@@ -44,8 +44,6 @@ class VectorPortState:
         self.occupancy = 0
         self.reserved = 0
         self.free_words = self.capacity_words
-        self.total_pushed = 0
-        self.total_popped = 0
         self.writers: Deque = deque()
 
     def peek(self, nwords: int) -> List[int]:
@@ -80,7 +78,6 @@ class VectorPortState:
             self.free_words -= count
         self.words += words
         self.occupancy += count
-        self.total_pushed += count
 
     def pop_words(self, nwords: int) -> List[int]:
         occupancy = self.occupancy
@@ -94,7 +91,6 @@ class VectorPortState:
         words = self.words[head:end]
         self.occupancy = occupancy - nwords
         self.free_words += nwords
-        self.total_popped += nwords
         if nwords == occupancy:
             self.words = []
             self.head = 0

@@ -175,8 +175,6 @@ class DequeVectorPortState:
         self.capacity_words = spec.capacity_words
         self.fifo = deque()
         self.reserved = 0
-        self.total_pushed = 0
-        self.total_popped = 0
         self.writers = deque()
 
     @property
@@ -212,7 +210,6 @@ class DequeVectorPortState:
                 f"{len(words)} > free {self.free_words}"
             )
         self.fifo.extend(words)
-        self.total_pushed += len(words)
 
     def pop_words(self, nwords):
         fifo = self.fifo
@@ -221,7 +218,6 @@ class DequeVectorPortState:
                 f"port {self.spec.name}: pop "
                 f"{nwords} > occupancy {len(fifo)}"
             )
-        self.total_popped += nwords
         return [fifo.popleft() for _ in range(nwords)]
 
 

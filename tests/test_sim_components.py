@@ -61,13 +61,6 @@ class TestVectorPortState:
         with pytest.raises(PortRuntimeError):
             port.pop_words(1)
 
-    def test_counters(self):
-        port = make_port()
-        port.push([5, 6], reserved=False)
-        port.pop_words(2)
-        assert port.total_pushed == 2
-        assert port.total_popped == 2
-
     @pytest.mark.parametrize("seed", range(20))
     def test_random_operations_match_a_deque(self, seed):
         """Random pushes, pops and reservations against a deque model;
