@@ -6,6 +6,7 @@ plus the satellite guarantees: seed determinism (byte-identical programs)
 and the injectable-RNG plumbing through ``run_and_verify``.
 """
 
+import hashlib
 import pathlib
 import random
 
@@ -13,6 +14,7 @@ import pytest
 
 import repro.core.isa.interpreter as interpreter_module
 from repro.core.isa.encoding import encode_items
+from repro.core.isa.interpreter import interpret_program
 from repro.fuzz import (
     CasePlan,
     DrainSegment,
@@ -97,6 +99,53 @@ class TestOracle:
         report = run_case(trivial_plan())
         assert not report.ok
         assert any(d.kind.startswith("interp-") for d in report.divergences)
+
+
+def _lock_plans():
+    """Every corpus case, then the first 300 plans ``fuzz --seed 0`` draws."""
+    for path in corpus_paths():
+        yield plan_from_json(path.read_text())
+    for index in range(300):
+        yield random_plan(random.Random(f"0:{index}"))
+
+
+def _digest_state(digest, label, store, scratch, streams):
+    """Fold one leg's end state into ``digest``: every store page by id,
+    the scratchpad bytes and the named word streams, sorted by name."""
+    digest.update(f"{label}\n".encode())
+    for pid, page in sorted(store.snapshot_pages().items()):
+        digest.update(f"{pid}:".encode() + page)
+    digest.update(bytes(scratch))
+    for name, words in sorted(streams.items()):
+        digest.update(f"{name}={list(words)}\n".encode())
+
+
+#: SHA-256 of both reference legs' end states over ``_lock_plans``
+REFERENCE_LEGS_SHA = (
+    "1fc90847d1f838a7434b9ecacdc14436e3c9e13dd14af8869574b78f69bbcc96")
+
+
+class TestReferenceLegsLock:
+    """The pure evaluation and the interpreter end every lock plan in
+    exactly the locked state: ``evaluate_case``'s store, scratchpad and
+    output streams, and ``interpret_program``'s store, scratchpad and
+    residual (non-empty) port queues."""
+
+    def test_end_states_sha(self):
+        digest = hashlib.sha256()
+        for plan in _lock_plans():
+            built = build_case(plan)
+            expected = evaluate_case(built)
+            _digest_state(digest, f"eval {plan.name}", expected.store,
+                          expected.scratch, expected.out_streams)
+            store = built.fresh_store()
+            final = interpret_program(built.program, store)
+            residual = {f"{kind}{port_id}": queue
+                        for (kind, port_id), queue in final.queues.items()
+                        if queue}
+            _digest_state(digest, f"interp {plan.name}", store,
+                          final.scratch, residual)
+        assert digest.hexdigest() == REFERENCE_LEGS_SHA
 
 
 class TestSeedDeterminism:
