@@ -271,13 +271,12 @@ class Dfg:
             for lane, word in enumerate(words):
                 values[(name, lane)] = mask_word(word)
 
-        def read(operand: Operand) -> int:
-            if isinstance(operand, Constant):
-                return mask_word(operand.word)
-            return values[(operand.node, operand.lane)]
-
         for inst in self.topological_order():
-            operand_words = [read(o) for o in inst.operands]
+            operand_words = [
+                mask_word(o.word) if isinstance(o, Constant)
+                else values[(o.node, o.lane)]
+                for o in inst.operands
+            ]
             if inst.is_accumulator:
                 if state is None:
                     raise DfgError(

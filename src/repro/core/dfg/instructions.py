@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 WORD_BITS = 64
 WORD_MASK = (1 << WORD_BITS) - 1
+_SIGN_BIT = 1 << (WORD_BITS - 1)
 
 #: lane widths supported by the sub-word SIMD datapath
 SUBWORD_WIDTHS = (64, 32, 16)
@@ -116,6 +117,11 @@ class Operation:
                 *(mask_word(w) for w in operands), lane_bits
             )
             return mask_word(signed_result)
+        if lane_bits == WORD_BITS:
+            # One lane is the whole word: sign it, apply, wrap.
+            return self.lane_fn(
+                *[((w & WORD_MASK) ^ _SIGN_BIT) - _SIGN_BIT for w in operands]
+            ) & WORD_MASK
         per_operand_lanes = [split_lanes(mask_word(w), lane_bits) for w in operands]
         out_lanes = []
         for lane_values in zip(*per_operand_lanes):

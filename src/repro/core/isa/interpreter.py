@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from .commands import (
+    BARRIER_TYPES,
     Command,
-    PortRef,
     SDCleanPort,
     SDConfig,
     SDConstPort,
@@ -79,9 +79,13 @@ class _State:
         self.compiled = None  # CompiledDfg, bound at SD_Config
         self.acc_state: List[int] = []
         self.config = None
+        # The CGRA's port queues, bound at SD_Config: (width, queue) per
+        # DFG input and one queue per DFG output, in DFG port order.
+        self.cgra_inputs: List[Tuple[int, Deque[int]]] = []
+        self.cgra_outputs: List[Deque[int]] = []
 
-    def queue(self, ref: PortRef) -> Deque[int]:
-        return self.queues.setdefault((ref.kind, ref.port_id), deque())
+    def queue(self, kind: str, port_id: int) -> Deque[int]:
+        return self.queues.setdefault((kind, port_id), deque())
 
     def apply_config(self, command: SDConfig) -> None:
         # Local import: CompiledDfg is purely functional, but it lives in
@@ -89,24 +93,23 @@ class _State:
         # the core layer depend on sim at import time.
         from ...sim.cgra_exec import CompiledDfg
 
-        self.config = self.program.config_images[command.address]
-        self.compiled = CompiledDfg(self.config.dfg)
+        config = self.config = self.program.config_images[command.address]
+        self.compiled = CompiledDfg(config.dfg)
         self.acc_state = self.compiled.make_state()
+        self.cgra_inputs = [
+            (port.width, self.queue("in", config.hw_input_port(name)))
+            for name, port in config.dfg.inputs.items()
+        ]
+        self.cgra_outputs = [
+            self.queue("out", config.hw_output_port(name))
+            for name in config.dfg.outputs
+        ]
 
     def drain_cgra(self) -> bool:
         """Fire instances while every input port holds a full instance."""
         if self.compiled is None:
             return False
-        dfg = self.config.dfg
-        in_ports = [
-            (port.width,
-             self.queue(PortRef("in", self.config.hw_input_port(name))))
-            for name, port in dfg.inputs.items()
-        ]
-        out_ports = [
-            self.queue(PortRef("out", self.config.hw_output_port(name)))
-            for name in dfg.outputs
-        ]
+        in_ports, out_ports = self.cgra_inputs, self.cgra_outputs
         fired = False
         while all(len(q) >= width for width, q in in_ports):
             words = [q.popleft() for width, q in in_ports
@@ -125,7 +128,7 @@ class _State:
         out = []
         for name, port in self.config.dfg.inputs.items():
             hw_id = self.config.hw_input_port(name)
-            queue = self.queue(PortRef("in", hw_id))
+            queue = self.queue("in", hw_id)
             if len(queue) < port.width:
                 out.append(f"in{hw_id} ({name}): {len(queue)}/{port.width} words")
         return out
@@ -161,105 +164,148 @@ class _State:
 
 
 class _Executor:
-    """Resumable execution of one command; ``step`` returns (progress, done)."""
+    """Resumable execution of one command; ``step`` returns (progress, done).
+
+    Decoded once, at construction: ``run`` is the handler for the
+    command's class (``step`` calls it; a port-data consumer's ``run`` is
+    ``_consume``, which calls its ``take``), ``orders_all`` marks a barrier
+    or reconfiguration, ``ports`` holds the queue of each port the command
+    names and ``keys`` its (kind, id, role) keys, both in ``PORTS`` order.
+    """
 
     def __init__(self, state: _State, command: Command) -> None:
         self.state = state
         self.command = command
         self.position = 0  # elements completed so far
+        self.orders_all = isinstance(command, _ORDERS_ALL)
+        ports, keys = [], []
+        for field_name, role in command.PORTS:
+            ref = getattr(command, field_name)
+            ports.append(state.queue(ref.kind, ref.port_id))
+            keys.append((ref.kind, ref.port_id, role))
+        self.ports = ports
+        self.keys = frozenset(keys)
+        # Handlers are held as plain functions: a bound method stored on
+        # the executor would make a reference cycle, and every executor
+        # (with the state it holds) would then wait for the cyclic GC.
+        self.take = _TAKES.get(type(command))
+        if self.take is None:
+            self.run = _STEPS.get(type(command), _Executor._unknown)
+        else:
+            self.run = _Executor._consume
+            self.total = self._total()
+            if isinstance(command, SDPortMem):
+                self.addrs = list(command.pattern.element_addresses())
 
     def step(self) -> Tuple[bool, bool]:
+        return self.run(self)
+
+    # -- commands that finish in one step -----------------------------------------
+
+    def _finish(self) -> Tuple[bool, bool]:
+        return True, True
+
+    def _config(self) -> Tuple[bool, bool]:
+        self.state.apply_config(self.command)
+        return True, True
+
+    def _fill(self) -> Tuple[bool, bool]:
+        state, pattern = self.state, self.command.pattern
+        (queue,) = self.ports
+        from_scratch = isinstance(self.command, SDScratchPort)
+        for addr in pattern.element_addresses():
+            queue.append(
+                state.read_elem(
+                    from_scratch, addr, pattern.elem_bytes, pattern.signed
+                )
+            )
+        return True, True
+
+    def _mem_scratch(self) -> Tuple[bool, bool]:
         state, command = self.state, self.command
-        if is_barrier(command) or isinstance(command, HostCompute):
-            return True, True
-        if isinstance(command, SDConfig):
-            state.apply_config(command)
-            return True, True
-        if isinstance(command, (SDMemPort, SDScratchPort)):
-            pattern = command.pattern
-            queue = state.queue(command.dest)
-            from_scratch = isinstance(command, SDScratchPort)
-            for addr in pattern.element_addresses():
-                queue.append(
-                    state.read_elem(
-                        from_scratch, addr, pattern.elem_bytes, pattern.signed
-                    )
-                )
-            return True, True
-        if isinstance(command, SDMemScratch):
-            pattern = command.pattern
-            for index, addr in enumerate(pattern.element_addresses()):
-                data = state.store.read(addr, pattern.elem_bytes)
-                offset = command.scratch_addr + index * pattern.elem_bytes
-                state.scratch[state.scratch_range(offset, len(data))] = data
-            return True, True
-        if isinstance(command, SDConstPort):
-            state.queue(command.dest).extend(
-                [command.value & WORD_MASK] * command.num_elements
-            )
-            return True, True
+        pattern = command.pattern
+        for index, addr in enumerate(pattern.element_addresses()):
+            data = state.store.read(addr, pattern.elem_bytes)
+            offset = command.scratch_addr + index * pattern.elem_bytes
+            state.scratch[state.scratch_range(offset, len(data))] = data
+        return True, True
 
-        # The remaining commands consume port data and may need the CGRA
-        # to produce it: drain first, consume what is available.
+    def _const(self) -> Tuple[bool, bool]:
+        command = self.command
+        (queue,) = self.ports
+        queue.extend([command.value & WORD_MASK] * command.num_elements)
+        return True, True
+
+    def _unknown(self) -> Tuple[bool, bool]:
+        raise TypeError(f"cannot interpret {type(self.command).__name__}")
+
+    # -- commands that consume port data ------------------------------------------
+
+    def _consume(self) -> Tuple[bool, bool]:
+        """These commands may need the CGRA to produce their data: drain
+        first, take what is available, drain again once done."""
+        state = self.state
         drained = state.drain_cgra()
-        progressed = drained
-
-        if isinstance(command, SDCleanPort):
-            queue = state.queue(command.source)
-            take = min(len(queue), command.num_elements - self.position)
-            for _ in range(take):
-                queue.popleft()
-        elif isinstance(command, SDPortPort):
-            src, dst = state.queue(command.source), state.queue(command.dest)
-            take = min(len(src), command.num_elements - self.position)
-            for _ in range(take):
-                dst.append(src.popleft())
-        elif isinstance(command, SDPortScratch):
-            queue = state.queue(command.source)
-            take = min(len(queue), command.num_elements - self.position)
-            for k in range(take):
-                addr = command.scratch_addr + (self.position + k) * command.elem_bytes
-                state.write_elem(True, addr, queue.popleft(), command.elem_bytes)
-        elif isinstance(command, SDPortMem):
-            queue = state.queue(command.source)
-            addrs = list(command.pattern.element_addresses())
-            take = min(len(queue), len(addrs) - self.position)
-            for k in range(take):
-                state.write_elem(
-                    False,
-                    addrs[self.position + k],
-                    queue.popleft(),
-                    command.pattern.elem_bytes,
-                )
-        elif isinstance(command, SDIndPortPort):
-            indices = state.queue(command.index_port)
-            dest = state.queue(command.dest)
-            take = min(len(indices), command.num_elements - self.position)
-            for _ in range(take):
-                addr = command.offset_addr + indices.popleft() * command.index_scale
-                dest.append(
-                    state.read_elem(
-                        False, addr, command.elem_bytes, command.signed
-                    )
-                )
-        elif isinstance(command, SDIndPortMem):
-            indices = state.queue(command.index_port)
-            values = state.queue(command.source)
-            take = min(
-                len(indices), len(values), command.num_elements - self.position
-            )
-            for _ in range(take):
-                addr = command.offset_addr + indices.popleft() * command.index_scale
-                state.write_elem(False, addr, values.popleft(), command.elem_bytes)
-        else:
-            raise TypeError(f"cannot interpret {type(command).__name__}")
-
+        take = self.take(self)
         self.position += take
-        progressed = progressed or take > 0
-        done = self.position >= self._total()
+        done = self.position >= self.total
         if done:
             state.drain_cgra()
-        return progressed, done
+        return drained or take > 0, done
+
+    def _take_clean(self) -> int:
+        (source,) = self.ports
+        take = min(len(source), self.total - self.position)
+        for _ in range(take):
+            source.popleft()
+        return take
+
+    def _take_port_port(self) -> int:
+        source, dest = self.ports
+        take = min(len(source), self.total - self.position)
+        for _ in range(take):
+            dest.append(source.popleft())
+        return take
+
+    def _take_port_scratch(self) -> int:
+        state, command = self.state, self.command
+        (source,) = self.ports
+        take = min(len(source), self.total - self.position)
+        for k in range(take):
+            addr = command.scratch_addr + (self.position + k) * command.elem_bytes
+            state.write_elem(True, addr, source.popleft(), command.elem_bytes)
+        return take
+
+    def _take_port_mem(self) -> int:
+        state, addrs = self.state, self.addrs
+        (source,) = self.ports
+        elem_bytes = self.command.pattern.elem_bytes
+        take = min(len(source), len(addrs) - self.position)
+        for k in range(take):
+            state.write_elem(
+                False, addrs[self.position + k], source.popleft(), elem_bytes
+            )
+        return take
+
+    def _take_ind_port_port(self) -> int:
+        state, command = self.state, self.command
+        indices, dest = self.ports
+        take = min(len(indices), self.total - self.position)
+        for _ in range(take):
+            addr = command.offset_addr + indices.popleft() * command.index_scale
+            dest.append(
+                state.read_elem(False, addr, command.elem_bytes, command.signed)
+            )
+        return take
+
+    def _take_ind_port_mem(self) -> int:
+        state, command = self.state, self.command
+        indices, values = self.ports
+        take = min(len(indices), len(values), self.total - self.position)
+        for _ in range(take):
+            addr = command.offset_addr + indices.popleft() * command.index_scale
+            state.write_elem(False, addr, values.popleft(), command.elem_bytes)
+        return take
 
     def _total(self) -> int:
         command = self.command
@@ -278,6 +324,32 @@ class _Executor:
         return f"{name}({ports}; {self.position}/{self._total()} elements)"
 
 
+#: commands that retire only after every earlier one, and that nothing passes
+_ORDERS_ALL = BARRIER_TYPES + (SDConfig,)
+
+#: command class -> the ``_Executor`` method that runs it in one step
+_STEPS = {
+    **dict.fromkeys(BARRIER_TYPES, _Executor._finish),
+    HostCompute: _Executor._finish,
+    SDConfig: _Executor._config,
+    SDMemPort: _Executor._fill,
+    SDScratchPort: _Executor._fill,
+    SDMemScratch: _Executor._mem_scratch,
+    SDConstPort: _Executor._const,
+}
+
+#: command class -> the ``_Executor`` method that takes its port data
+#: (``_Executor._consume`` drives it)
+_TAKES = {
+    SDCleanPort: _Executor._take_clean,
+    SDPortPort: _Executor._take_port_port,
+    SDPortScratch: _Executor._take_port_scratch,
+    SDPortMem: _Executor._take_port_mem,
+    SDIndPortPort: _Executor._take_ind_port_port,
+    SDIndPortMem: _Executor._take_ind_port_mem,
+}
+
+
 def interpret_program(program: StreamProgram,
                       store: BackingStore) -> FunctionalRunState:
     """Execute a stream program functionally, mutating ``store`` in place.
@@ -290,44 +362,39 @@ def interpret_program(program: StreamProgram,
     ``[0, SCRATCH_BYTES)``.
     """
     state = _State(program, store)
-    executors = [_Executor(state, item) for item in program.items]
-    done = [False] * len(executors)
+    pending = [_Executor(state, item) for item in program.items]
 
-    while not all(done):
+    while pending:
         any_progress = False
         busy: set = set()  # (kind, id, role) held by an earlier unfinished cmd
-        for index, executor in enumerate(executors):
-            if done[index]:
-                continue
-            command = executor.command
+        waiting: List[_Executor] = []  # unfinished, in program order
+        for index, executor in enumerate(pending):
             # Barriers and reconfiguration order *everything*: they retire
             # only once all earlier commands have, and nothing passes them.
             # (Treating the scratch barriers as full barriers is a legal,
             # conservative implementation of their happens-before rule.)
-            if is_barrier(command) or isinstance(command, SDConfig):
-                if all(done[:index]):
+            if executor.orders_all:
+                finished = False
+                if not waiting:
                     _, finished = executor.step()
-                    done[index] = finished
                     any_progress = True
+                if not finished:
+                    waiting.append(executor)
+                waiting.extend(pending[index + 1:])
                 break
-            keys = {
-                (p.kind, p.port_id, role)
-                for p, role in port_uses(command)
-            }
+            keys = executor.keys
             if keys & busy:
                 busy |= keys  # program order per (port, role)
+                waiting.append(executor)
                 continue
             progressed, finished = executor.step()
             any_progress = any_progress or progressed or finished
-            done[index] = finished
             if not finished:
                 busy |= keys
+                waiting.append(executor)
+        pending = waiting
         if not any_progress:
-            stuck = [
-                executor.describe()
-                for index, executor in enumerate(executors)
-                if not done[index]
-            ]
+            stuck = [executor.describe() for executor in pending]
             starved = state.starved_inputs()
             extra = f"; starved CGRA inputs: {starved}" if starved else ""
             raise FunctionalDeadlock(

@@ -82,11 +82,14 @@ def _extend(raw: int, elem_bytes: int, signed: bool) -> int:
 
 
 def evaluate_case(built: BuiltCase) -> Expected:
-    """Compute the reference result of a case without either simulator."""
-    from .generators import dfg_from_spec
+    """Compute the reference result of a case without either simulator.
 
+    Fires ``built.config.dfg``: the graph the case's configuration was
+    scheduled from, parsed from ``plan.dfg_spec`` once, when it was
+    scheduled.
+    """
     plan = built.plan
-    dfg = dfg_from_spec(plan.dfg_spec)
+    dfg = built.config.dfg
     instances = plan.num_instances
 
     # Feed streams; recurrence elements are placeholders resolved from the

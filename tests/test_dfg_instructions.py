@@ -1,9 +1,13 @@
 """Unit tests for functional-unit operation semantics."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.core.dfg.instructions import (
     ACCUMULATOR_OPS,
+    SUBWORD_WIDTHS,
     Operation,
     accumulate_combine,
     accumulator_identity,
@@ -226,3 +230,75 @@ class TestAccumulators:
     def test_all_accumulator_ops_registered(self):
         for name in ACCUMULATOR_OPS:
             assert get_operation(name).name == name
+
+
+def reference_evaluate(op: Operation, operands, lane_bits: int) -> int:
+    """The lane loop at every width: split each operand into lanes, sign
+    each lane, apply the op and re-encode its result at the lane width,
+    then join the lanes.  ``Operation.evaluate`` takes a shorter route at
+    64-bit lanes; this is the route it must agree with."""
+    if op.whole_word:
+        return mask_word(op.lane_fn(*(mask_word(w) for w in operands),
+                                    lane_bits))
+    per_operand_lanes = [split_lanes(mask_word(w), lane_bits)
+                         for w in operands]
+    out_lanes = []
+    for lane_values in zip(*per_operand_lanes):
+        signed = [to_signed(v, lane_bits) for v in lane_values]
+        out_lanes.append(from_signed(op.lane_fn(*signed), lane_bits))
+    return join_lanes(out_lanes, lane_bits)
+
+
+def _edge_words(lane_bits: int):
+    """Words whose every lane sits at a sign or wrap boundary, plus words
+    outside 0..2**64 that evaluation must mask first."""
+    lanes = (0, 1, 2, (1 << (lane_bits - 1)) - 1, 1 << (lane_bits - 1),
+             (1 << lane_bits) - 1)
+    words = [join_lanes([lane] * (64 // lane_bits), lane_bits)
+             for lane in lanes]
+    words += [0x0123_4567_89AB_CDEF, 0x8000_0000_0000_0001, 63, 64, -1,
+              2**64 + 5]
+    return words
+
+
+def _operand_cases(lane_bits: int, arity: int):
+    """Every pair (or single) of edge words, then 200 random tuples."""
+    rng = random.Random(f"evaluate:{lane_bits}:{arity}")
+    edges = _edge_words(lane_bits)
+    if arity <= 2:
+        cases = list(itertools.product(edges, repeat=arity))
+    else:
+        cases = [tuple(rng.choice(edges) for _ in range(arity))
+                 for _ in range(200)]
+    cases += [tuple(rng.getrandbits(64) for _ in range(arity))
+              for _ in range(200)]
+    return cases
+
+
+class TestEvaluateExactness:
+    """``Operation.evaluate`` and ``accumulate_combine`` equal the lane
+    loop for every registered op at every lane width, on edge words and
+    random words."""
+
+    @pytest.mark.parametrize("lane_bits", SUBWORD_WIDTHS)
+    @pytest.mark.parametrize("op", all_operations(), ids=lambda op: op.name)
+    def test_evaluate_matches_lane_loop(self, op, lane_bits):
+        mismatches = []
+        for words in _operand_cases(lane_bits, op.arity):
+            got = op.evaluate(list(words), lane_bits)
+            want = reference_evaluate(op, words, lane_bits)
+            if got != want:
+                mismatches.append((words, got, want))
+        assert not mismatches, mismatches[:4]
+
+    @pytest.mark.parametrize("lane_bits", SUBWORD_WIDTHS)
+    @pytest.mark.parametrize("name", sorted(ACCUMULATOR_OPS))
+    def test_accumulate_combine_matches_lane_loop(self, name, lane_bits):
+        combine = get_operation(ACCUMULATOR_OPS[name])
+        mismatches = []
+        for state, value in _operand_cases(lane_bits, 2):
+            got = accumulate_combine(name, state, value, lane_bits)
+            want = reference_evaluate(combine, (state, value), lane_bits)
+            if got != want:
+                mismatches.append((state, value, got, want))
+        assert not mismatches, mismatches[:4]
