@@ -4,9 +4,11 @@ The fuzzer is only useful if a CI smoke budget (60 s) buys a meaningful
 number of cases, so this benchmark measures end-to-end cases/second —
 plan generation, scheduling (every plan draws its own DFG, so each case
 schedules once; the build and oracle legs reuse that schedule), program
-build, and all three oracle legs — and asserts a floor
-well below typical machines so it never flakes, while ``record`` leaves
-the real number in ``benchmarks/results-<timestamp>.txt``.
+build, and all three oracle legs — and asserts a floor well below
+typical machines so it never flakes.  The rate is printed to stdout
+only: ``record`` leaves just the host-independent line (cases and
+divergences) in ``benchmarks/results-<timestamp>.txt``, so the results
+files of two runs diff identical.
 """
 
 import random
@@ -40,11 +42,11 @@ def measure_fuzz_throughput(count: int = 60, seed: int = 0) -> dict:
 
 def test_fuzz_throughput():
     stats = measure_fuzz_throughput(count=60)
+    print(f"\n{stats['cases']} cases in {stats['wall']:.2f}s = "
+          f"{stats['cases_per_second']:.1f} cases/s")
     record(
         "Differential fuzzing throughput",
-        (f"{stats['cases']} cases in {stats['wall']:.2f}s = "
-         f"{stats['cases_per_second']:.1f} cases/s "
-         f"({stats['divergences']} divergences)"),
+        f"{stats['cases']} cases, {stats['divergences']} divergences",
     )
     assert stats["divergences"] == 0
     assert stats["cases_per_second"] > MIN_CASES_PER_SECOND

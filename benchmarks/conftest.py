@@ -8,7 +8,10 @@ benchmark that renders a table appends it to a per-session
 ``pytest benchmarks/ --benchmark-only`` run leaves the complete
 reproduction of the paper's evaluation on disk without clobbering the
 previous run's results.  The file is created by the session's first
-:func:`record`, so a session that renders no table leaves none.
+:func:`record`, so a session that renders no table leaves none.  Only
+host-independent text goes into it (wall-clock rates are printed to
+stdout instead), so the files of two runs of the same tree diff
+identical.
 """
 
 import pathlib
