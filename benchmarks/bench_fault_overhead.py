@@ -68,13 +68,13 @@ def measure_fault_hook_overhead(workload: str = "gemm",
     Returns ``{"no_injector": s, "idle_injector": s, "overhead": fraction,
     "cycles_match": bool, "hook_calls": int}``.
     """
-    builder = MACHSUITE[workload][0]
+    built = MACHSUITE[workload][0]()
     result = interleaved_overhead(
-        repeats, builder, dict,
+        repeats, built, dict,
         lambda: {"faults": _never_firing_injector()})
 
     counting, calls = _counting_injector()
-    run_and_verify(builder(), faults=counting)
+    run_and_verify(built, faults=counting)
     return {
         "no_injector": result["a"],
         "idle_injector": result["b"],

@@ -7,7 +7,7 @@ from repro.core.compiler import schedule
 from repro.core.dfg import parse_dfg
 from repro.core.isa import StreamProgram
 from repro.sim import MemorySystem, render_timeline, run_program
-from repro.workloads.common import write_words
+from repro.workloads.common import run_and_verify, write_words
 from repro.workloads.dnn import build_classifier
 from repro.workloads.dnn.layers import ClassifierLayer
 
@@ -47,12 +47,7 @@ def test_fig4_dot_product_timeline(benchmark):
 
 
 def _classifier_run():
-    built = build_classifier(ClassifierLayer("fig6", ni=128, nn=4))
-    result = run_program(
-        built.program, fabric=built.fabric, memory=built.memory
-    )
-    built.verify(built.memory)
-    return result
+    return run_and_verify(build_classifier(ClassifierLayer("fig6", ni=128, nn=4)))
 
 
 def test_fig6_classifier_timeline(benchmark):

@@ -7,7 +7,8 @@ MachSuite workload with no trace argument and with an explicit
 :class:`repro.trace.NullSink` and asserts the NullSink run is within
 ``MAX_OVERHEAD`` (5%) of the untraced one: the median, over
 interleaved pairs, of each pair's time ratio.  Only ``run_program`` is
-timed; each run's workload is built before and verified after.
+timed: the workload is built once, and each run's fresh memory is made
+before its timer starts and verified after it stops.
 
 Run directly (``python -m pytest benchmarks/bench_trace_overhead.py``) or
 via the reduced smoke test in ``tests/test_trace.py``, which reuses
@@ -21,22 +22,23 @@ from typing import Callable, Dict, List
 
 from repro.sim.softbrain import run_program
 from repro.trace import NullSink
+from repro.workloads.common import BuiltWorkload
 from repro.workloads.machsuite import MACHSUITE
 
 #: tolerated NullSink slowdown relative to an untraced run
 MAX_OVERHEAD = 0.05
 
 
-def interleaved_overhead(pairs: int, builder: Callable,
+def interleaved_overhead(pairs: int, built: BuiltWorkload,
                          extra_a: Callable[[], Dict],
                          extra_b: Callable[[], Dict]) -> dict:
-    """Time ``run_program`` on ``pairs`` interleaved pairs of runs, side
-    A with the keyword arguments ``extra_a()`` and side B with
+    """Time ``run_program`` of ``built`` on ``pairs`` interleaved pairs of
+    runs, side A with the keyword arguments ``extra_a()`` and side B with
     ``extra_b()``, and compare them by the median of per-pair ratios.
 
-    Each run gets a fresh workload from ``builder``, built before the
-    timer starts and verified after it stops, so only ``run_program`` is
-    timed.  The pairs alternate which side runs first.  A pair's ratio
+    Each run gets ``built.fresh_memory()``, made before the timer starts
+    and verified after it stops, so only ``run_program`` is timed.  The
+    pairs alternate which side runs first.  A pair's ratio
     compares two runs made moments apart, so slow drift of the host
     cancels, and the median ignores the few pairs an interference spike
     hits.  Returns ``{"a": s, "b": s, "overhead": fraction,
@@ -46,13 +48,13 @@ def interleaved_overhead(pairs: int, builder: Callable,
     cycles: List[int] = []
 
     def timed(extra: Callable[[], Dict]) -> float:
-        built = builder()
+        memory = built.fresh_memory()
         kwargs = extra()
         started = time.perf_counter()
         result = run_program(built.program, fabric=built.fabric,
-                             memory=built.memory, **kwargs)
+                             memory=memory, **kwargs)
         elapsed = time.perf_counter() - started
-        built.verify(built.memory)
+        built.verify(memory)
         cycles.append(result.cycles)
         return elapsed
 
@@ -85,7 +87,7 @@ def measure_null_sink_overhead(workload: str = "gemm",
     Returns ``{"untraced": s, "null_sink": s, "overhead": fraction,
     "cycles_match": bool}``.
     """
-    result = interleaved_overhead(repeats, MACHSUITE[workload][0], dict,
+    result = interleaved_overhead(repeats, MACHSUITE[workload][0](), dict,
                                   lambda: {"trace": NullSink()})
     return {
         "untraced": result["a"],

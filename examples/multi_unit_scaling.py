@@ -9,7 +9,7 @@ Run:  python examples/multi_unit_scaling.py
 """
 
 from repro.cgra import dnn_provisioned
-from repro.sim import MemorySystem, run_multi_unit
+from repro.sim import run_multi_unit
 from repro.workloads.dnn import build_conv
 from repro.workloads.dnn.layers import ConvLayer
 
@@ -27,13 +27,11 @@ def main() -> None:
             build_conv(layer, unit_id=u, num_units=units)
             for u in range(units)
         ]
-        memory = MemorySystem()
-        memory.store = builts[0].memory.store  # same seed => same image
+        memory = builts[0].fresh_memory()  # the units share one image
         result = run_multi_unit(
             [b.program for b in builts], dnn_provisioned, memory=memory
         )
         for built in builts:
-            built.memory = memory
             built.verify(memory)
         baseline = baseline or result.cycles
         speedup = baseline / result.cycles

@@ -13,7 +13,7 @@ from repro.core.compiler import schedule
 from repro.core.dfg import parse_dfg
 from repro.core.isa import StreamProgram
 from repro.sim import MemorySystem, render_timeline, run_program
-from repro.workloads.common import write_words
+from repro.workloads.common import run_and_verify, write_words
 from repro.workloads.dnn import build_classifier
 from repro.workloads.dnn.layers import ClassifierLayer
 
@@ -49,8 +49,7 @@ def figure6() -> None:
     print("Figure 6 (bottom): classifier execution")
     print("=" * 72)
     built = build_classifier(ClassifierLayer("fig6", ni=128, nn=4))
-    result = run_program(built.program, fabric=built.fabric, memory=built.memory)
-    built.verify(built.memory)
+    result = run_and_verify(built)
     print(render_timeline(result.timeline))
 
 

@@ -35,11 +35,6 @@ class RoutedEdge:
     def hops(self) -> int:
         return len(self.links)
 
-    @property
-    def latency(self) -> int:
-        """Edge traversal time: hops + one local switch + matching delay."""
-        return self.hops + 1 + self.extra_delay
-
 
 @dataclass
 class CgraConfig:

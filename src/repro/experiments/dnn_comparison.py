@@ -17,7 +17,7 @@ from ..baselines.diannao import estimate_diannao_cycles
 from ..baselines.gpu import estimate_gpu_cycles
 from ..cgra.fabric import dnn_provisioned
 from ..power.model import estimate_power
-from ..sim.memory import MemoryParams, MemorySystem
+from ..sim.memory import MemoryParams
 from ..sim.softbrain import RunResult, run_program
 from ..workloads.dnn import (
     DNN_LAYERS,
@@ -56,16 +56,13 @@ def run_softbrain_dnn(layer: DnnLayer, num_units: int = NUM_UNITS) -> RunResult:
     """Simulate unit 0's share with its slice of DRAM bandwidth."""
     built = build_dnn_layer(layer, unit_id=0, num_units=num_units)
     base = MemoryParams()
-    memory = MemorySystem(replace(
+    memory = built.fresh_memory(replace(
         base, dram_gap_cycles=base.dram_gap_cycles * num_units))
-    # Re-point the built workload's preloaded contents at the shared model.
-    memory.store = built.memory.store
     # Regions read by every unit are fetched from DRAM once chip-wide and
     # shared through the cache; unit 0 sees them warm.
     for addr, nbytes in built.meta.get("shared_regions", []):
         memory.warm(addr, nbytes)
     result = run_program(built.program, fabric=built.fabric, memory=memory)
-    built.memory = memory
     built.verify(memory)
     return result
 

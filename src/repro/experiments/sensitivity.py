@@ -4,7 +4,9 @@ Quantifies the hardware parameters Section 3.3/4 leaves as provisioning
 choices: vector-port depth (recurrence buffering, latency tolerance),
 DRAM bandwidth (the memory-bound workloads' ceiling), and the stream-table
 size (concurrent streams per engine).  Each sweep re-simulates a workload
-with one knob varied and everything else fixed.
+with one knob varied and everything else fixed, each point on a fresh
+memory of one build; the port-depth sweep rebuilds per point, because the
+fabric, and so the schedule, changes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from ..sim.memory import MemoryParams, MemorySystem
+from ..sim.memory import MemoryParams
 from ..sim.softbrain import SoftbrainParams, run_program
 from ..workloads.common import BuiltWorkload
 
@@ -44,12 +46,10 @@ class SweepResult:
         return self.worst.cycles / max(1, self.best.cycles)
 
 
-def _rerun(built: BuiltWorkload, fabric, params=None, memory_params=None) -> int:
-    memory = MemorySystem(memory_params)
-    memory.store = built.memory.store
-    result = run_program(built.program, fabric=fabric, memory=memory,
+def _rerun(built: BuiltWorkload, params=None, memory_params=None) -> int:
+    memory = built.fresh_memory(memory_params)
+    result = run_program(built.program, fabric=built.fabric, memory=memory,
                          params=params)
-    built.memory = memory
     built.verify(memory)
     return result.cycles
 
@@ -63,10 +63,9 @@ def sweep_port_depth(
     points = []
     name = ""
     for depth in depths:
-        fabric = fabric_factory(depth)
-        built = make_workload(fabric=fabric)
+        built = make_workload(fabric=fabric_factory(depth))
         name = built.name
-        points.append(SweepPoint(depth, _rerun(built, fabric)))
+        points.append(SweepPoint(depth, _rerun(built)))
     return SweepResult("port_depth", name, points)
 
 
@@ -75,18 +74,12 @@ def sweep_dram_bandwidth(
     gaps: Sequence[int] = (1, 2, 4, 8, 16, 32),
 ) -> SweepResult:
     """DRAM line gap (64 B per ``gap`` cycles): the streaming-BW ceiling."""
-    points = []
-    name = ""
-    for gap in gaps:
-        built = make_workload()
-        name = built.name
-        cycles = _rerun(
-            built,
-            built.fabric,
-            memory_params=MemoryParams(dram_gap_cycles=gap),
-        )
-        points.append(SweepPoint(gap, cycles))
-    return SweepResult("dram_gap_cycles", name, points)
+    built = make_workload()
+    points = [
+        SweepPoint(gap, _rerun(built, memory_params=MemoryParams(dram_gap_cycles=gap)))
+        for gap in gaps
+    ]
+    return SweepResult("dram_gap_cycles", built.name, points)
 
 
 def sweep_stream_table(
@@ -94,18 +87,12 @@ def sweep_stream_table(
     sizes: Sequence[int] = (5, 6, 8, 12, 16),
 ) -> SweepResult:
     """Stream-table entries per engine: concurrent streams in flight."""
-    points = []
-    name = ""
-    for size in sizes:
-        built = make_workload()
-        name = built.name
-        cycles = _rerun(
-            built,
-            built.fabric,
-            params=SoftbrainParams(stream_table_size=size),
-        )
-        points.append(SweepPoint(size, cycles))
-    return SweepResult("stream_table_size", name, points)
+    built = make_workload()
+    points = [
+        SweepPoint(size, _rerun(built, params=SoftbrainParams(stream_table_size=size)))
+        for size in sizes
+    ]
+    return SweepResult("stream_table_size", built.name, points)
 
 
 def format_sweep(result: SweepResult) -> str:

@@ -24,7 +24,7 @@ from ..core.compiler import schedule
 from ..core.compiler.config import CgraConfig
 from ..core.isa.patterns import SCRATCH_BYTES
 from ..core.isa.program import StreamProgram
-from ..sim.memory import BackingStore, MemorySystem
+from ..sim.memory import BackingStore, MemoryImage, MemorySystem, load_image, pack_words
 from ..workloads.common import Allocator
 
 #: annealing effort for fuzz schedules — far less than the workloads use;
@@ -225,20 +225,24 @@ def element_indices(per_access: int, stride_elems: int,
 
 
 def validate_plan(plan: CasePlan) -> None:
-    """Raise :class:`PlanError` unless the plan obeys every legality rule."""
-    from .generators import dfg_from_spec  # local: generators imports us
+    """Raise :class:`PlanError` unless the plan obeys every legality rule.
 
-    dfg = dfg_from_spec(plan.dfg_spec)
+    The DFG's port names and widths (an output's width is its source
+    count) are read from ``plan.dfg_spec`` without parsing the graph.
+    """
+    spec = plan.dfg_spec
+    in_width = {port["name"]: port["width"] for port in spec["inputs"]}
+    out_width = {port["name"]: len(port["sources"]) for port in spec["outputs"]}
     if not 1 <= plan.num_instances <= 16:
         raise PlanError("num_instances must be in 1..16 (port depth)")
-    if set(plan.feeds) != set(dfg.inputs):
+    if set(plan.feeds) != set(in_width):
         raise PlanError("feeds must cover exactly the DFG input ports")
-    if set(plan.drains) != set(dfg.outputs):
+    if set(plan.drains) != set(out_width):
         raise PlanError("drains must cover exactly the DFG output ports")
 
     scratch_used = 0
     for port, segments in sorted(plan.feeds.items()):
-        width = dfg.inputs[port].width
+        width = in_width[port]
         total = 0
         for index, seg in enumerate(segments):
             if seg.num_elements <= 0:
@@ -265,7 +269,7 @@ def validate_plan(plan: CasePlan) -> None:
                 f"{width * plan.num_instances}"
             )
     for port, segments in sorted(plan.drains.items()):
-        width = dfg.outputs[port].width
+        width = out_width[port]
         total = 0
         for index, seg in enumerate(segments):
             if seg.num_elements <= 0:
@@ -295,8 +299,8 @@ def validate_plan(plan: CasePlan) -> None:
             )
     if plan.recur_in:
         feed = plan.feeds[plan.recur_in][-1]
-        width = dfg.inputs[plan.recur_in].width
-        if dfg.outputs[plan.recur_out].width < width:
+        width = in_width[plan.recur_in]
+        if out_width[plan.recur_out] < width:
             raise PlanError("recurrence source narrower than destination")
         seed = width * plan.num_instances - feed.count
         if seed < width:
@@ -348,30 +352,17 @@ class BuiltCase:
     #: (port, segment index) -> symbolic address assignments
     feed_layout: Dict[Tuple[str, int], Dict[str, int]]
     drain_layout: Dict[Tuple[str, int], Dict[str, int]]
-    image: List[Tuple[int, bytes]]
+    image: MemoryImage
 
     @property
     def fabric(self):
         return self.config.fabric
 
     def fresh_memory(self) -> MemorySystem:
-        memory = MemorySystem()
-        for addr, data in self.image:
-            memory.preload(addr, data)
-        return memory
+        return load_image(self.image)
 
     def fresh_store(self) -> BackingStore:
-        store = BackingStore()
-        for addr, data in self.image:
-            store.write(addr, data)
-        return store
-
-
-def _pack(values: List[int], elem_bytes: int) -> bytes:
-    mask = (1 << (8 * elem_bytes)) - 1
-    return b"".join(
-        (v & mask).to_bytes(elem_bytes, "little") for v in values
-    )
+        return self.fresh_memory().store
 
 
 def build_case(plan: CasePlan) -> BuiltCase:
@@ -420,7 +411,7 @@ def build_case(plan: CasePlan) -> BuiltCase:
             elif seg.kind == "mem":
                 base = alloc.alloc(len(seg.array) * seg.elem_bytes)
                 layout["base"] = base
-                image.append((base, _pack(seg.array, seg.elem_bytes)))
+                image.append((base, pack_words(seg.array, seg.elem_bytes)))
                 chain.append(lambda s=seg, b=base, p=port: program.mem_port(
                     b, s.stride_elems * s.elem_bytes,
                     s.per_access * s.elem_bytes, s.num_strides, p,
@@ -430,7 +421,7 @@ def build_case(plan: CasePlan) -> BuiltCase:
                 staging = alloc.alloc(nbytes)
                 saddr = take_scratch(nbytes)
                 layout["staging"], layout["scratch"] = staging, saddr
-                image.append((staging, _pack(seg.array, seg.elem_bytes)))
+                image.append((staging, pack_words(seg.array, seg.elem_bytes)))
                 preamble.append(lambda s=seg, m=staging, sa=saddr, n=nbytes:
                                 program.mem_scratch(m, n, n, 1, sa,
                                                     elem_bytes=s.elem_bytes))
@@ -444,8 +435,8 @@ def build_case(plan: CasePlan) -> BuiltCase:
                 ind_id = take_ind()
                 layout["table"], layout["indices"] = table, idx
                 layout["ind_port"] = ind_id
-                image.append((table, _pack(seg.array, seg.elem_bytes)))
-                image.append((idx, _pack(seg.indices, 8)))
+                image.append((table, pack_words(seg.array, seg.elem_bytes)))
+                image.append((idx, pack_words(seg.indices, 8)))
                 chain.append(lambda s=seg, a=idx, k=ind_id:
                              program.mem_to_indirect(a, len(s.indices), k))
                 chain.append(lambda s=seg, t=table, k=ind_id, p=port:
@@ -478,7 +469,7 @@ def build_case(plan: CasePlan) -> BuiltCase:
                 ind_id = take_ind()
                 layout["base"], layout["indices"] = base, idx
                 layout["ind_port"] = ind_id
-                image.append((idx, _pack(seg.indices, 8)))
+                image.append((idx, pack_words(seg.indices, 8)))
                 chain.append(lambda s=seg, a=idx, k=ind_id:
                              program.mem_to_indirect(a, len(s.indices), k))
                 chain.append(lambda s=seg, b=base, k=ind_id, p=port:
@@ -524,4 +515,4 @@ def build_case(plan: CasePlan) -> BuiltCase:
             live.remove(name)
     program.barrier_all()
 
-    return BuiltCase(plan, program, config, feed_layout, drain_layout, image)
+    return BuiltCase(plan, program, config, feed_layout, drain_layout, tuple(image))

@@ -226,7 +226,7 @@ def run_case(plan: CasePlan,
             raise VerificationError("; ".join(mismatches))
 
     workload = BuiltWorkload(plan.name, built.program, built.fabric,
-                             built.fresh_memory(), verify)
+                             built.image, verify)
     try:
         result = run_and_verify(workload, faults=faults, params=params)
     except VerificationError as exc:

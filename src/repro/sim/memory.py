@@ -14,7 +14,7 @@ import functools
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.isa.patterns import LINE_BYTES
 from ..trace import NULL_SINK, SHARED_UNIT, TraceEvent, TraceSink
@@ -26,6 +26,9 @@ PAGE_BYTES = 1 << _PAGE_BITS
 WORD_MASK = 0xFFFF_FFFF_FFFF_FFFF
 #: ``struct`` codes of the unsigned element sizes
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: initial memory contents: ``(address, bytes)`` segments, written in order
+MemoryImage = Tuple[Tuple[int, bytes], ...]
 
 
 @functools.lru_cache(maxsize=256)
@@ -42,6 +45,12 @@ def unpack_words(buffer, offset: int, count: int, size: int,
         return [value & WORD_MASK for value in
                 _run_struct(count, size, True).unpack_from(buffer, offset)]
     return list(_run_struct(count, size, False).unpack_from(buffer, offset))
+
+
+def pack_words(values: Sequence[int], elem_bytes: int = 8) -> bytes:
+    """Integers as ``elem_bytes``-byte two's-complement little-endian words."""
+    mask = (1 << (8 * elem_bytes)) - 1
+    return b"".join((v & mask).to_bytes(elem_bytes, "little") for v in values)
 
 
 @dataclass
@@ -266,3 +275,12 @@ class MemorySystem:
         last = addr + nbytes
         for line in range(first, last, LINE_BYTES):
             self._touch_line(line)
+
+
+def load_image(image: MemoryImage, params: Optional[MemoryParams] = None) -> MemorySystem:
+    """A cold memory with ``params`` timing whose store holds ``image``:
+    where every run of a built workload or fuzz case starts."""
+    memory = MemorySystem(params)
+    for addr, data in image:
+        memory.store.write(addr, data)
+    return memory

@@ -7,6 +7,10 @@ the shared interface accepts one request per cycle *in total* and the
 shared DRAM bandwidth is arbitrated naturally by the per-cycle accept
 limit — contention is simulated, not modelled.
 
+The caller hands in that one memory: a DNN layer's per-unit builds carry
+one image (the units split the work, not the data), so
+``builts[0].fresh_memory()`` serves them all.
+
 The units run in the same cycle loop as a single unit,
 :func:`~repro.sim.softbrain.run_lockstep`, and fail through the same
 crash-dump path; with more than one unit, the dump tags each stuck unit's
@@ -38,10 +42,6 @@ class MultiUnitResult:
     @property
     def total_instances(self) -> int:
         return sum(r.stats.instances_fired for r in self.unit_results)
-
-    @property
-    def total_ops(self) -> int:
-        return sum(r.stats.ops_executed for r in self.unit_results)
 
 
 def run_multi_unit(

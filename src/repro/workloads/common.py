@@ -1,14 +1,15 @@
 """Shared workload infrastructure: built programs, memory layout, checking.
 
 Every workload — DNN layer or MachSuite kernel — reduces to a
-:class:`BuiltWorkload`: a stream program bound to a fabric, a preloaded
-memory image, and a verifier that checks the simulated results against the
-reference implementation.  :func:`run_and_verify` is the one-stop entry the
-tests, examples and benchmarks all use.
+:class:`BuiltWorkload`: a stream program bound to a fabric, an immutable
+initial memory image, and a verifier that checks the simulated results
+against the reference implementation.  :func:`run_and_verify` is the
+one-stop entry the tests, examples and benchmarks all use.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -16,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..cgra.fabric import Fabric
 from ..core.isa.patterns import LINE_BYTES
 from ..core.isa.program import StreamProgram
-from ..sim.memory import MemorySystem
+from ..sim.memory import MemoryImage, MemoryParams, MemorySystem, load_image, pack_words
 from ..sim.softbrain import RunResult, SoftbrainParams, run_program
 from ..trace import TraceSink
 
@@ -36,9 +37,7 @@ class Allocator:
 def write_words(memory: MemorySystem, addr: int, values: Sequence[int],
                 elem_bytes: int = 8) -> None:
     """Preload an array of integers (two's complement, little endian)."""
-    mask = (1 << (8 * elem_bytes)) - 1
-    data = b"".join((v & mask).to_bytes(elem_bytes, "little") for v in values)
-    memory.preload(addr, data)
+    memory.preload(addr, pack_words(values, elem_bytes))
 
 
 def read_words(memory: MemorySystem, addr: int, count: int,
@@ -69,15 +68,27 @@ def check_equal(name: str, got: Sequence[int], expected: Sequence[int]) -> None:
 
 @dataclass
 class BuiltWorkload:
-    """A ready-to-simulate workload instance."""
+    """A ready-to-simulate workload instance: every run starts from
+    :meth:`fresh_memory`, and ``verify`` checks the memory it is handed."""
 
     name: str
     program: StreamProgram
     fabric: Fabric
-    memory: MemorySystem
+    image: MemoryImage
     verify: Callable[[MemorySystem], None]
     #: free-form workload facts (sizes, op counts) used by reports
     meta: Dict[str, object] = field(default_factory=dict)
+
+    def fresh_memory(self, params: Optional[MemoryParams] = None) -> MemorySystem:
+        """A cold memory with ``params`` timing holding the initial image."""
+        return load_image(self.image, params)
+
+    @functools.cached_property
+    def memory(self) -> MemorySystem:
+        """A fresh memory made on first access and kept.  It exists because
+        ``perfbench/suite.py``, the benchmark's fixed definition, runs on
+        ``built.memory`` and then verifies it; all else calls fresh_memory."""
+        return self.fresh_memory()
 
 
 def run_and_verify(
@@ -86,7 +97,8 @@ def run_and_verify(
     trace: Optional[TraceSink] = None,
     faults=None,
 ) -> RunResult:
-    """Simulate a built workload and check its outputs; returns the result.
+    """Simulate a built workload on a fresh memory and check its outputs;
+    returns the result (its ``memory`` is the one the run used).
 
     ``trace`` forwards a :class:`repro.trace.TraceSink` to the simulator
     (the caller closes it), so every experiment harness built on this
@@ -96,11 +108,12 @@ def run_and_verify(
     fault campaign and ``fuzz --faults`` run workloads under injected
     faults through this same entry point.
     """
+    memory = built.fresh_memory()
     result = run_program(
-        built.program, fabric=built.fabric, memory=built.memory, params=params,
+        built.program, fabric=built.fabric, memory=memory, params=params,
         trace=trace, faults=faults,
     )
-    built.verify(built.memory)
+    built.verify(memory)
     return result
 
 

@@ -21,8 +21,8 @@ from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.dfg.instructions import fixed_point_sigmoid
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 from .layers import ClassifierLayer
 
 #: values per packed 64-bit word
@@ -82,14 +82,14 @@ def build_classifier(
     neuron_i = [rng.randint(-8, 7) for _ in range(ni)]
     expected = reference_classifier(synapse[first : first + nn_unit], neuron_i)
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     syn_addr = alloc.alloc(nn * ni * 2)
     neu_addr = alloc.alloc(ni * 2)
     out_addr = alloc.alloc(nn * 2)
     for n_idx, row in enumerate(synapse):
-        write_words(memory, syn_addr + n_idx * ni * 2, row, elem_bytes=2)
-    write_words(memory, neu_addr, neuron_i, elem_bytes=2)
+        image.append((syn_addr + n_idx * ni * 2, pack_words(row, 2)))
+    image.append((neu_addr, pack_words(neuron_i, 2)))
 
     dfg = classifier_dfg()
     config = schedule(dfg, fabric)
@@ -121,7 +121,7 @@ def build_classifier(
         name=layer.name,
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "layer": layer,

@@ -28,8 +28,8 @@ from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.patterns import SCRATCH_BYTES
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 from .layers import ConvLayer
 
 PACK = 4  # 16-bit values per word
@@ -121,7 +121,7 @@ def build_conv(
     ]
     expected = reference_conv(layer, inputs, weights)
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     row_bytes = layer.in_w * 2
     in_addr = alloc.alloc(layer.n_in * layer.in_h * row_bytes)
@@ -135,7 +135,7 @@ def build_conv(
 
     for i, plane in enumerate(inputs):
         for y, row in enumerate(plane):
-            write_words(memory, input_row_addr(i, y), row, elem_bytes=2)
+            image.append((input_row_addr(i, y), pack_words(row, 2)))
     # Host-prepared broadcast weight image: per output map, the kkn weights
     # in (i, ky, kx) stream order, one word each with the weight in all lanes.
     for o in range(layer.n_out):
@@ -145,7 +145,7 @@ def build_conv(
             for ky in range(layer.k)
             for kx in range(layer.k)
         ]
-        write_words(memory, wb_addr + o * kkn * 8, words, elem_bytes=8)
+        image.append((wb_addr + o * kkn * 8, pack_words(words, 8)))
 
     dfg = conv_dfg(port_words, rows_per_group)
     config = schedule(dfg, fabric)
@@ -227,7 +227,7 @@ def build_conv(
         name=layer.name,
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "layer": layer,

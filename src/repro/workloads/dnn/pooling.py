@@ -21,8 +21,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 from .layers import PoolLayer
 
 #: output elements computed per instance
@@ -112,7 +112,7 @@ def build_pool(
             reference_pool2(first, layer.mode) if layer.window == 4 else first
         )
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     row_bytes = layer.in_w * 2
     in_base = alloc.alloc(layer.maps * layer.in_h * row_bytes)
@@ -122,9 +122,8 @@ def build_pool(
 
     for m, plane in enumerate(maps):
         for y, row in enumerate(plane):
-            write_words(
-                memory, in_base + (m * layer.in_h + y) * row_bytes, row, elem_bytes=2
-            )
+            image.append((in_base + (m * layer.in_h + y) * row_bytes,
+                          pack_words(row, 2)))
 
     dfg = pool_dfg(layer.mode)
     config = schedule(dfg, fabric)
@@ -172,7 +171,7 @@ def build_pool(
         name=layer.name,
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "layer": layer,

@@ -26,8 +26,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: layer shape (inputs x outputs), scaled for simulator speed
 N_IN = 24
@@ -102,15 +102,15 @@ def build_backprop(
     result = evaluate(backprop_kernel, weights, act, delta)
     exp_weights, exp_err = result.array_values("w"), result.array_values("err")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     row_bytes = n_out * 8
     w_addr = alloc.alloc(n_in * row_bytes)
     w_new_addr = alloc.alloc(n_in * row_bytes)  # ping-pong destination
     d_addr = alloc.alloc(n_out * 8)
     e_addr = alloc.alloc(n_in * 8)
-    write_words(memory, w_addr, weights)
-    write_words(memory, d_addr, delta)
+    image.append((w_addr, pack_words(weights)))
+    image.append((d_addr, pack_words(delta)))
 
     dfg = backprop_dfg()
     config = schedule(dfg, fabric)
@@ -142,7 +142,7 @@ def build_backprop(
         name="backprop",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "n_in": n_in,

@@ -25,8 +25,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: graph size (nodes / directed edges), scaled for simulator speed
 N_NODES = 96
@@ -116,7 +116,7 @@ def build_bfs(
     incoming = bfs_inputs(seed, n, e)
     expected, depth = bfs_levels(incoming)
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     flat_in = [s for row in incoming for s in row]
     in_ptr = [0]
@@ -129,9 +129,9 @@ def build_bfs(
     in_addr = alloc.alloc(max(1, len(flat_in)) * 8)
     dup_addr = alloc.alloc(max(1, len(dup_node)) * 8)
     lvl_addr = alloc.alloc(n * 8)
-    write_words(memory, in_addr, flat_in)
-    write_words(memory, dup_addr, dup_node)
-    write_words(memory, lvl_addr, [0] + [UNVISITED] * (n - 1))
+    image.append((in_addr, pack_words(flat_in)))
+    image.append((dup_addr, pack_words(dup_node)))
+    image.append((lvl_addr, pack_words([0] + [UNVISITED] * (n - 1))))
 
     dfg = bfs_dfg()
     config = schedule(dfg, fabric)
@@ -166,7 +166,7 @@ def build_bfs(
         name="bfs",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "nodes": n,

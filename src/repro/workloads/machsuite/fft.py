@@ -23,8 +23,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: transform size (power of two), scaled for simulator speed
 N_POINTS = 64
@@ -118,7 +118,7 @@ def build_fft(
     exp_re, exp_im = result.array_values("re"), result.array_values("im")
     wr_all, wi_all = twiddles(n)
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     # Ping-pong complex buffers (separate real/imag planes).
     buf_re = [alloc.alloc(n * 8), alloc.alloc(n * 8)]
@@ -127,10 +127,10 @@ def build_fft(
     tw_im = alloc.alloc(max(1, n // 2) * 8)
     # Host performs the bit-reversal permutation while loading (a fixed
     # data layout step, like the paper's host-generated start addresses).
-    write_words(memory, buf_re[0], bit_reverse_permute(real))
-    write_words(memory, buf_im[0], bit_reverse_permute(imag))
-    write_words(memory, tw_re, wr_all)
-    write_words(memory, tw_im, wi_all)
+    image.append((buf_re[0], pack_words(bit_reverse_permute(real))))
+    image.append((buf_im[0], pack_words(bit_reverse_permute(imag))))
+    image.append((tw_re, pack_words(wr_all)))
+    image.append((tw_im, pack_words(wi_all)))
 
     dfg = fft_dfg()
     config = schedule(dfg, fabric)
@@ -193,7 +193,7 @@ def build_fft(
         name="fft",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "n": n,

@@ -21,8 +21,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: problem size (N x N matrices), scaled for simulator speed
 N = 24
@@ -72,13 +72,13 @@ def build_gemm(
     a, b = gemm_inputs(seed, n)
     expected = evaluate(gemm_kernel, n, a, b).array_values("c")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     a_addr = alloc.alloc(n * n * 8)
     b_addr = alloc.alloc(n * n * 8)
     c_addr = alloc.alloc(n * n * 8)
-    write_words(memory, a_addr, a)
-    write_words(memory, b_addr, b)
+    image.append((a_addr, pack_words(a)))
+    image.append((b_addr, pack_words(b)))
 
     dfg = gemm_dfg()
     config = schedule(dfg, fabric)
@@ -109,7 +109,7 @@ def build_gemm(
         name="gemm",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={"n": n, "macs": n * n * n, "instances": n * n * n // WAY},
     )

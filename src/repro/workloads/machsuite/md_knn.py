@@ -25,8 +25,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: atom count and neighbours per atom, scaled for simulator speed
 N_ATOMS = 64
@@ -113,17 +113,17 @@ def build_md_knn(
     pos, nl = md_inputs(seed, n, k)
     expected = evaluate(md_kernel, pos, nl).array_values("f")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     x_addr = alloc.alloc(n * 8)
     y_addr = alloc.alloc(n * 8)
     z_addr = alloc.alloc(n * 8)
     nl_addr = alloc.alloc(n * k * 8)
     f_addr = alloc.alloc(n * 3 * 8)
-    write_words(memory, x_addr, [p[0] for p in pos])
-    write_words(memory, y_addr, [p[1] for p in pos])
-    write_words(memory, z_addr, [p[2] for p in pos])
-    write_words(memory, nl_addr, [j for row in nl for j in row])
+    image.append((x_addr, pack_words([p[0] for p in pos])))
+    image.append((y_addr, pack_words([p[1] for p in pos])))
+    image.append((z_addr, pack_words([p[2] for p in pos])))
+    image.append((nl_addr, pack_words([j for row in nl for j in row])))
 
     dfg = md_dfg()
     config = schedule(dfg, fabric)
@@ -157,7 +157,7 @@ def build_md_knn(
         name="md",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={"atoms": n, "k": k, "instances": n * k},
     )

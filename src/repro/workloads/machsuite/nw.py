@@ -22,8 +22,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: sequence lengths, scaled for simulator speed
 SEQ_LEN = 24
@@ -89,18 +89,18 @@ def build_nw(
     expected = evaluate(nw_kernel, a, b).array_values("score")
 
     rows, cols = length + 1, length + 1
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     row_bytes = cols * 8
     mat_addr = alloc.alloc(rows * row_bytes)
     a_addr = alloc.alloc(length * 8)
     b_rev_addr = alloc.alloc(length * 8)  # host-reversed second sequence
-    write_words(memory, a_addr, a)
-    write_words(memory, b_rev_addr, list(reversed(b)))
+    image.append((a_addr, pack_words(a)))
+    image.append((b_rev_addr, pack_words(list(reversed(b)))))
     # Boundary conditions preloaded by the host.
     for i in range(rows):
-        write_words(memory, mat_addr + i * row_bytes, [i * GAP])
-    write_words(memory, mat_addr, [j * GAP for j in range(cols)])
+        image.append((mat_addr + i * row_bytes, pack_words([i * GAP])))
+    image.append((mat_addr, pack_words([j * GAP for j in range(cols)])))
 
     def cell(i: int, j: int) -> int:
         return mat_addr + i * row_bytes + j * 8
@@ -140,7 +140,7 @@ def build_nw(
         name="nw",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "length": length,

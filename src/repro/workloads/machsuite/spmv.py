@@ -23,8 +23,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: matrix rows (and vector length)
 N_ROWS = 96
@@ -97,7 +97,7 @@ def build_spmv_crs(
     result = evaluate(spmv_kernel, values, columns, vector)
     expected = result.array_values("out")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     flat_vals = [v for row in values for v in row]
     flat_cols = [c for row in columns for c in row]
@@ -105,9 +105,9 @@ def build_spmv_crs(
     cols_addr = alloc.alloc(len(flat_cols) * 8)
     vec_addr = alloc.alloc(n * 8)
     out_addr = alloc.alloc(n * 8)
-    write_words(memory, vals_addr, flat_vals)
-    write_words(memory, cols_addr, flat_cols)
-    write_words(memory, vec_addr, vector)
+    image.append((vals_addr, pack_words(flat_vals)))
+    image.append((cols_addr, pack_words(flat_cols)))
+    image.append((vec_addr, pack_words(vector)))
 
     dfg = crs_dfg()
     config = schedule(dfg, fabric)
@@ -138,7 +138,7 @@ def build_spmv_crs(
         name="spmv-crs",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={"n": n, "nnz": len(flat_vals), "instances": len(flat_vals)},
     )
@@ -152,7 +152,7 @@ def build_spmv_ellpack(
     result = evaluate(spmv_kernel, values, columns, vector)
     expected = result.array_values("out")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     flat_vals = [v for row in values for v in row]
     flat_cols = [c for row in columns for c in row]
@@ -160,9 +160,9 @@ def build_spmv_ellpack(
     cols_addr = alloc.alloc(len(flat_cols) * 8)
     vec_addr = alloc.alloc(n * 8)
     out_addr = alloc.alloc(n * 8)
-    write_words(memory, vals_addr, flat_vals)
-    write_words(memory, cols_addr, flat_cols)
-    write_words(memory, vec_addr, vector)
+    image.append((vals_addr, pack_words(flat_vals)))
+    image.append((cols_addr, pack_words(flat_cols)))
+    image.append((vec_addr, pack_words(vector)))
 
     dfg = ellpack_dfg()
     config = schedule(dfg, fabric)
@@ -191,7 +191,7 @@ def build_spmv_ellpack(
         name="spmv-ellpack",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={"n": n, "nnz": total, "instances": n * instances},
     )

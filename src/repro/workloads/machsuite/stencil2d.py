@@ -19,8 +19,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: grid dimensions (input HEIGHT x WIDTH; output shrinks by 2)
 WIDTH = 34
@@ -83,14 +83,14 @@ def build_stencil2d(
     result = evaluate(stencil2d_kernel, width, height, grid, filt)
     expected = result.array_values("out")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     row_bytes = width * 8
     grid_addr = alloc.alloc(height * row_bytes)
     filt_addr = alloc.alloc(K * K * 8)
     out_addr = alloc.alloc(out_h * out_w * 8)
-    write_words(memory, grid_addr, grid)
-    write_words(memory, filt_addr, filt)
+    image.append((grid_addr, pack_words(grid)))
+    image.append((filt_addr, pack_words(filt)))
 
     dfg = stencil2d_dfg()
     config = schedule(dfg, fabric)
@@ -125,7 +125,7 @@ def build_stencil2d(
         name="stencil",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "width": width,

@@ -19,8 +19,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: grid side (cubic); interior shrinks by 2 per axis
 SIDE = 12
@@ -92,11 +92,11 @@ def build_stencil3d(
     grid = stencil3d_inputs(seed, side)
     expected = evaluate(stencil3d_kernel, side, grid).array_values("out")
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     grid_addr = alloc.alloc(side**3 * 8)
     out_addr = alloc.alloc(inner**3 * 8)
-    write_words(memory, grid_addr, grid)
+    image.append((grid_addr, pack_words(grid)))
 
     def addr(z: int, y: int, x: int) -> int:
         return grid_addr + ((z * side + y) * side + x) * 8
@@ -132,7 +132,7 @@ def build_stencil3d(
         name="stencil3d",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "side": side,

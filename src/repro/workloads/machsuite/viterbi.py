@@ -24,8 +24,8 @@ from ...core.compiler.scheduler import schedule
 from ...core.dfg.builder import DfgBuilder
 from ...core.dfg.graph import Dfg
 from ...core.isa.program import StreamProgram
-from ...sim.memory import MemorySystem
-from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words, write_words
+from ...sim.memory import MemorySystem, pack_words
+from ..common import Allocator, BuiltWorkload, check_equal, make_rng, read_words
 
 #: hidden states and observation steps, scaled for simulator speed
 N_STATES = 16
@@ -98,7 +98,7 @@ def build_viterbi(
     llike = evaluate(viterbi_kernel, init, trans, emit).array_values("llike")
     expected = llike[final:final + n_states]
 
-    memory = MemorySystem()
+    image = []
     alloc = Allocator()
     # Host preprocessing: transpose the transition matrix so a state's
     # incoming costs are a linear stream (a one-time layout transformation).
@@ -106,13 +106,12 @@ def build_viterbi(
     emit_addr = alloc.alloc(n_steps * n_states * 8)
     llike_addr = alloc.alloc(2 * n_states * 8)  # double-buffered rows
     for s in range(n_states):
-        write_words(
-            memory,
+        image.append((
             trans_t_addr + s * n_states * 8,
-            [trans[sp * n_states + s] for sp in range(n_states)],
-        )
-    write_words(memory, emit_addr, emit)
-    write_words(memory, llike_addr, init)
+            pack_words([trans[sp * n_states + s] for sp in range(n_states)]),
+        ))
+    image.append((emit_addr, pack_words(emit)))
+    image.append((llike_addr, pack_words(init)))
 
     dfg = viterbi_dfg()
     config = schedule(dfg, fabric)
@@ -149,7 +148,7 @@ def build_viterbi(
         name="viterbi",
         program=program,
         fabric=fabric,
-        memory=memory,
+        image=tuple(image),
         verify=verify,
         meta={
             "states": n_states,

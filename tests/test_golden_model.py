@@ -7,12 +7,10 @@ accelerator stacks use: any semantics divergence between the engines and
 the ISA's definition shows up here.
 """
 
-import copy
-
 import pytest
 
 from repro.core.isa.interpreter import FunctionalDeadlock, interpret_program
-from repro.sim.memory import BackingStore, MemorySystem
+from repro.sim.memory import BackingStore, MemorySystem, load_image, pack_words
 from repro.workloads.common import run_and_verify
 from repro.workloads.dnn import build_classifier, build_conv, build_pool
 from repro.workloads.dnn.layers import ClassifierLayer, ConvLayer, PoolLayer
@@ -21,16 +19,9 @@ from repro.workloads.machsuite import MACHSUITE
 
 def functional_verify(built) -> None:
     """Run the program on the golden model and apply the same verifier."""
-    store = copy.deepcopy(built.memory.store)
-    interpret_program(built.program, store)
-    shadow = MemorySystem()
-    shadow.store = store
-    original = built.memory
-    built.memory = shadow
-    try:
-        built.verify(shadow)
-    finally:
-        built.memory = original
+    memory = built.fresh_memory()
+    interpret_program(built.program, memory.store)
+    built.verify(memory)
 
 
 SMALL_BUILDERS = {
@@ -56,7 +47,7 @@ class TestMachSuiteGoldenModel:
     @pytest.mark.parametrize("name", ["gemm", "spmv-crs", "fft"])
     def test_both_engines_agree(self, name):
         built = SMALL_BUILDERS[name]()
-        functional_verify(built)  # golden model first (fresh memory copy)
+        functional_verify(built)  # golden model first
         run_and_verify(built)  # then the cycle-level simulator
 
 
@@ -193,14 +184,16 @@ def _passthrough_config():
     )
 
 
-def _both_engines(program, memory):
-    """Run on the cycle simulator and the functional interpreter; return
-    (sim RunResult, interpreter store, interpreter final state)."""
+def _both_engines(program, image):
+    """Run on the cycle simulator and the functional interpreter, each
+    from its own memory holding ``image``; return (sim RunResult,
+    interpreter store, interpreter final state)."""
     from repro.cgra import broadly_provisioned
     from repro.sim.softbrain import run_program
 
-    store = copy.deepcopy(memory.store)
-    result = run_program(program, fabric=broadly_provisioned(), memory=memory)
+    result = run_program(program, fabric=broadly_provisioned(),
+                         memory=load_image(image))
+    store = load_image(image).store
     final = interpret_program(program, store)
     return result, store, final
 
@@ -214,7 +207,7 @@ class TestGoldenModelEdgeCases:
         """Gather table[perm] into the CGRA, scatter it back through the
         same permutation: the output region must equal the table."""
         from repro.core.isa import StreamProgram
-        from repro.workloads.common import read_words, write_words
+        from repro.workloads.common import read_words
 
         config = _passthrough_config()
         n = 12
@@ -229,14 +222,12 @@ class TestGoldenModelEdgeCases:
         program.ind_port_mem(1, "O", out_addr, n)
         program.barrier_all()
 
-        memory = MemorySystem()
-        write_words(memory, table_addr, table)
-        write_words(memory, idx_addr, perm)
-        write_words(memory, idx2_addr, perm)
+        image = ((table_addr, pack_words(table)), (idx_addr, pack_words(perm)),
+                 (idx2_addr, pack_words(perm)))
 
-        result, store, _ = _both_engines(program, memory)
+        result, store, _ = _both_engines(program, image)
         expected = [table[i] if i in perm else 0 for i in range(n)]
-        assert read_words(memory, out_addr, n, signed=False) == expected
+        assert read_words(result.memory, out_addr, n, signed=False) == expected
         got_interp = [store.read_word(out_addr + 8 * i) for i in range(n)]
         assert got_interp == expected
         assert result.stats.instances_fired == n
@@ -245,7 +236,7 @@ class TestGoldenModelEdgeCases:
         """memory -> scratchpad -> port -> memory preserves the array, and
         both engines leave identical scratchpad images."""
         from repro.core.isa import StreamProgram
-        from repro.workloads.common import read_words, write_words
+        from repro.workloads.common import read_words
 
         config = _passthrough_config()
         n = 10
@@ -259,11 +250,9 @@ class TestGoldenModelEdgeCases:
         program.port_mem("O", 8 * n, 8 * n, 1, out_addr)
         program.barrier_all()
 
-        memory = MemorySystem()
-        write_words(memory, src_addr, array)
-
-        result, store, final = _both_engines(program, memory)
-        assert read_words(memory, out_addr, n) == array
+        result, store, final = _both_engines(
+            program, ((src_addr, pack_words(array)),))
+        assert read_words(result.memory, out_addr, n) == array
         assert [store.read_word(out_addr + 8 * i) for i in range(n)] == array
         packed = b"".join(v.to_bytes(8, "little") for v in array)
         window = slice(scratch_addr, scratch_addr + 8 * n)

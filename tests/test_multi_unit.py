@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.cgra import dnn_provisioned
-from repro.sim import MemoryParams, MemorySystem, run_multi_unit, run_program
-from repro.workloads.dnn import build_classifier
+from repro.sim import MemoryParams, run_multi_unit, run_program
+from repro.workloads.dnn import DNN_LAYERS, build_classifier, build_dnn_layer
 from repro.workloads.dnn.layers import ClassifierLayer
 
 from .test_golden_stats import GOLDEN_DIR, dump_golden, fingerprint
@@ -16,12 +16,19 @@ def build_units(layer, units):
     builts = [
         build_classifier(layer, unit_id=u, num_units=units) for u in range(units)
     ]
-    memory = MemorySystem()
-    memory.store = builts[0].memory.store  # identical preloads (same seed)
-    return builts, memory
+    return builts, builts[0].fresh_memory()
 
 
 class TestMultiUnit:
+    @pytest.mark.parametrize("layer", DNN_LAYERS, ids=lambda layer: layer.name)
+    def test_units_share_one_image(self, layer):
+        # A layer's units split the work, not the data: every unit's build
+        # holds the single-unit build's image, so one memory serves them all.
+        image = build_dnn_layer(layer).image
+        for unit in range(8):
+            assert build_dnn_layer(layer, unit_id=unit,
+                                   num_units=8).image == image, unit
+
     def test_results_verify_across_units(self):
         layer = ClassifierLayer("mu", ni=128, nn=16)
         builts, memory = build_units(layer, 4)
@@ -29,7 +36,6 @@ class TestMultiUnit:
             [b.program for b in builts], dnn_provisioned, memory=memory
         )
         for built in builts:
-            built.memory = memory
             built.verify(memory)
         assert len(result.unit_results) == 4
         assert result.total_instances == 16 * (128 // 16)
@@ -67,7 +73,7 @@ class TestMultiUnit:
         solo_built = build_classifier(layer, unit_id=0, num_units=4)
         solo = run_program(
             solo_built.program, fabric=solo_built.fabric,
-            memory=solo_built.memory,
+            memory=solo_built.fresh_memory(),
         )
 
         builts, memory = build_units(layer, 4)
@@ -84,11 +90,10 @@ class TestMultiUnit:
         layer = ClassifierLayer("solo", ni=64, nn=4)
         built = build_classifier(layer)
         expected = run_program(
-            built.program, fabric=built.fabric, memory=built.memory
+            built.program, fabric=built.fabric, memory=built.fresh_memory()
         )
-        built2 = build_classifier(layer)
         result = run_multi_unit(
-            [built2.program], dnn_provisioned, memory=built2.memory
+            [built.program], dnn_provisioned, memory=built.fresh_memory()
         )
         assert result.cycles == expected.cycles
 
@@ -106,12 +111,9 @@ class TestMultiUnit:
 
         approx_built = build_classifier(layer, unit_id=0, num_units=units)
         base = MemoryParams()
-        approx_memory = MemorySystem(
-            MemoryParams(
-                dram_gap_cycles=base.dram_gap_cycles * units,
-            )
+        approx_memory = approx_built.fresh_memory(
+            MemoryParams(dram_gap_cycles=base.dram_gap_cycles * units)
         )
-        approx_memory.store = approx_built.memory.store
         approx = run_program(
             approx_built.program, fabric=approx_built.fabric,
             memory=approx_memory,

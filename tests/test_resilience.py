@@ -264,8 +264,7 @@ class TestFailureReports:
 
     def test_multi_unit_deadlock_aggregates_units(self):
         program, fabric, memory = deadlock_workload()
-        program2, _fabric2, memory2 = deadlock_workload()
-        memory2.store = memory.store
+        program2 = deadlock_workload()[0]
         with pytest.raises(SimulationDeadlock, match="deadlock") as info:
             run_multi_unit([program, program2], dnn_provisioned,
                            memory=memory)

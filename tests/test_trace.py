@@ -327,10 +327,7 @@ class TestMultiUnitTracing:
         units = 2
         builts = [build_dnn_layer("pool1p", unit_id=i, num_units=units)
                   for i in range(units)]
-        memory = MemorySystem()
-        for built in builts:
-            for page_id, page in built.memory.store._pages.items():
-                memory.store._pages[page_id] = page
+        memory = builts[0].fresh_memory()  # the units share one image
         sink = ListSink()
         result = run_multi_unit([b.program for b in builts], dnn_provisioned,
                                 memory=memory, trace=sink)
