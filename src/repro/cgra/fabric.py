@@ -122,22 +122,25 @@ class Fabric:
         return [pe for pe in self.pes.values() if pe.supports(mnemonic)]
 
     @cached_property
-    def coords_supporting(self) -> Dict[str, Tuple[Coord, ...]]:
-        """``op -> coords of the PEs supporting it``, in :attr:`pes` order.
+    def ids_supporting(self) -> Dict[str, Tuple[int, ...]]:
+        """``op -> mesh ids of the PEs supporting it``, in :attr:`pes` order.
 
-        Lists every op some FU supports; an op none supports is absent.
-        Built on first use; a fabric's PEs never change after construction.
+        Ids index ``mesh.tables``.  Lists every op some FU supports; an op
+        none supports is absent.  Built on first use; a fabric's PEs never
+        change after construction.
         """
-        coords: Dict[str, List[Coord]] = {}
+        ids = self.mesh.tables.ids
+        supporting: Dict[str, List[int]] = {}
         for coord, pe in self.pes.items():
             for op in pe.fu.ops:
-                coords.setdefault(op, []).append(coord)
-        return {op: tuple(op_coords) for op, op_coords in coords.items()}
+                supporting.setdefault(op, []).append(ids[coord])
+        return {op: tuple(op_ids) for op, op_ids in supporting.items()}
 
     @cached_property
-    def fu_richness(self) -> Dict[Coord, int]:
-        """``coord -> number of ops its FU supports``, built on first use."""
-        return {coord: len(pe.fu.ops) for coord, pe in self.pes.items()}
+    def fu_richness(self) -> List[int]:
+        """``fu_richness[id]`` is the number of ops the FU at mesh id
+        ``id`` supports; built on first use."""
+        return [len(self.pes[coord].fu.ops) for coord in self.mesh.tables.coords]
 
     def find_port(self, kind: str, port_id: int) -> HwVectorPort:
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from ...cgra.network import Coord, Link, MeshNetwork
 
@@ -57,19 +57,25 @@ def route_value(
     mesh = state.mesh
     occupancy = state.occupancy
     channels = mesh.channels
-    neighbor_links = mesh.neighbor_links
-    # 0-1 BFS: reused links cost 0, fresh channel claims cost 1; a link
-    # with every channel taken by other values is impassable.
-    best: Dict[Coord, int] = {src: 0}
-    parent: Dict[Coord, Link] = {}
-    queue: deque = deque([(0, src)])
+    tables = mesh.tables
+    adjacency = tables.adjacency
+    start, goal = tables.ids[src], tables.ids[dst]
+    # 0-1 BFS over mesh ids: reused links cost 0, fresh channel claims
+    # cost 1; a link with every channel taken by other values is
+    # impassable.  A shortest path has fewer links than the mesh has
+    # nodes, so no cost reached exceeds their count.
+    nodes = len(adjacency)
+    best: List[int] = [nodes + 1] * nodes
+    parent: List[Optional[Link]] = [None] * nodes
+    best[start] = 0
+    queue: deque = deque([(0, start)])
     while queue:
-        cost, coord = queue.popleft()
-        if cost > best[coord]:
+        cost, node = queue.popleft()
+        if cost > best[node]:
             continue
-        if coord == dst:
+        if node == goal:
             break
-        for nbr, link in neighbor_links[coord]:
+        for nbr, link in adjacency[node]:
             users = occupancy.get(link)
             if users is None:
                 step = 1  # every link has at least one channel
@@ -80,25 +86,23 @@ def route_value(
             else:
                 continue
             new_cost = cost + step
-            known = best.get(nbr)
-            if known is None or new_cost < known:
+            if new_cost < best[nbr]:
                 best[nbr] = new_cost
                 parent[nbr] = link
                 if step == 0:
                     queue.appendleft((new_cost, nbr))
                 else:
                     queue.append((new_cost, nbr))
-    if dst not in parent:
+    if parent[goal] is None:
         raise RoutingError(
             f"no route for {producer!r} from {src} to {dst} "
             f"(channels={mesh.channels})"
         )
     path: List[Link] = []
-    coord = dst
-    while coord != src:
-        link = parent[coord]
+    link = parent[goal]
+    while link is not None:
         path.append(link)
-        coord = link[0]
+        link = parent[tables.ids[link[0]]]
     path.reverse()
     state.claim_path(path, producer)
     return path
