@@ -25,6 +25,7 @@ import random
 import time
 from typing import List, Optional
 
+from ..core.dfg import DfgError
 from .case import PlanError, plan_from_json, plan_to_json
 from .generators import random_plan
 from .oracle import run_case
@@ -79,6 +80,8 @@ def _replay(path: pathlib.Path, seed: int) -> int:
         report = run_case(plan, rng=_check_rng(seed, plan.name))
     except PlanError as exc:
         raise SystemExit(f"error: {path} violates plan legality: {exc}")
+    except DfgError as exc:
+        raise SystemExit(f"error: {path} has a malformed DFG: {exc}")
     if report.ok:
         print(f"{path}: OK ({plan.name}, "
               f"{len(plan_to_json(plan))} bytes)")

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from ..core.dfg import Constant, Dfg, ValueRef
+from ..core.dfg import Constant, Dfg, DfgError, ValueRef
 from ..core.dfg.instructions import WORD_MASK
 from .case import CasePlan, DrainSegment, FeedSegment
 
@@ -142,6 +142,11 @@ def dfg_to_spec(dfg: Dfg) -> dict:
 
 
 def dfg_from_spec(spec: dict) -> Dfg:
+    """Rebuild the DFG that :func:`dfg_to_spec` described.
+
+    Raises :class:`DfgError` when an operand or an output source names no
+    input and no instruction.
+    """
     dfg = Dfg(spec["name"])
     for port in spec["inputs"]:
         dfg.add_input(port["name"], port["width"])
@@ -156,6 +161,15 @@ def dfg_from_spec(spec: dict) -> Dfg:
         dfg.add_output(
             port["name"], [_operand_from_str(s) for s in port["sources"]]
         )
+    readers = [
+        (inst.name, dfg.operand_refs(inst)) for inst in dfg.instructions.values()
+    ] + [(f"output {port.name}", port.sources) for port in dfg.outputs.values()]
+    for reader, refs in readers:
+        for ref in refs:
+            if ref.node not in dfg.inputs and ref.node not in dfg.instructions:
+                raise DfgError(
+                    f"DFG {dfg.name!r}: {reader} reads undefined value {ref}"
+                )
     return dfg
 
 

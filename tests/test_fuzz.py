@@ -94,6 +94,32 @@ class TestOracle:
         for port, stream in expected.out_streams.items():
             assert len(stream) == widths[port] * plan.num_instances
 
+    def test_detects_corrupted_scratch_write(self, monkeypatch):
+        """One scratchpad write of the simulator leg, with its third byte
+        flipped, is a ``sim-scratch`` divergence naming that byte."""
+        from repro.sim.scratchpad import Scratchpad
+
+        plan = trivial_plan()
+        plan.drains = {"Z": [DrainSegment(kind="scratch", count=1)]}
+        want = evaluate_case(build_case(plan)).scratch
+        write, written = Scratchpad.write, []
+
+        def corrupt_write(self, addr, data):
+            if not written:
+                data = bytearray(data)
+                data[2] ^= 0xFF
+                written.append(addr + 2)
+            write(self, addr, bytes(data))
+
+        monkeypatch.setattr(Scratchpad, "write", corrupt_write)
+        report = run_case(plan)
+        [offset] = written
+        assert [(d.kind, d.detail) for d in report.divergences] == [(
+            "sim-scratch",
+            f"scratch[{offset}]: got 0x{want[offset] ^ 0xFF:02x} "
+            f"want 0x{want[offset]:02x}",
+        )]
+
     def test_detects_corrupted_interpreter(self, monkeypatch):
         _corrupt_interpreter_writes(monkeypatch)
         report = run_case(trivial_plan())
@@ -296,6 +322,20 @@ class TestCli:
         assert "  undiagnosed: no dump" in out
         assert (tmp_path / "fuzz-0-0.json").exists()
 
+    def test_fuzz_replay_dangling_operand_is_a_clean_error(self, tmp_path):
+        """A case whose DFG reads a value nothing defines exits with an
+        ``error: ...`` line, not a traceback from the scheduler."""
+        plan = trivial_plan()
+        plan.dfg_spec["inputs"] = []
+        plan.feeds = {}
+        path = tmp_path / "dangling.json"
+        path.write_text(plan_to_json(plan))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--replay", str(path)])
+        message = str(exit_info.value.code)
+        assert message.startswith(f"error: {path} has a malformed DFG")
+        assert "p0 reads undefined value A" in message
+
     def test_fuzz_time_budget(self, capsys):
         assert main(["fuzz", "--count", "100000", "--seed", "2",
                      "--time-budget", "2"]) == 0
@@ -309,3 +349,19 @@ def test_passthrough_spec_builds_minimal_dfg():
     dfg = dfg_from_spec(spec)
     assert {n: p.width for n, p in dfg.inputs.items()} == {"A": 2, "B": 1}
     assert dfg.outputs["Z"].width == 3
+
+
+@pytest.mark.parametrize("field", ["operand", "output source"])
+def test_dfg_from_spec_rejects_dangling_references(field):
+    from repro.core.dfg import DfgError
+    from repro.fuzz.generators import dfg_from_spec
+
+    spec = passthrough_dfg_spec({"A": 1}, {"Z": 1})
+    if field == "operand":
+        spec["instructions"][0]["operands"] = ["B"]
+        reader = "p0"
+    else:
+        spec["outputs"][0]["sources"] = ["q9"]
+        reader = "output Z"
+    with pytest.raises(DfgError, match=f"{reader} reads undefined value"):
+        dfg_from_spec(spec)

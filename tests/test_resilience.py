@@ -223,6 +223,16 @@ class TestFailureReports:
         assert clone.to_json() == report.to_json()
         json.loads(report.to_json())  # valid JSON
 
+    def test_report_save_roundtrip(self, tmp_path):
+        program, fabric, memory = deadlock_workload()
+        with pytest.raises(SimulationDeadlock) as info:
+            run_program(program, fabric=fabric, memory=memory)
+        report = info.value.report
+        path = tmp_path / "dump.json"
+        assert report.save(str(path)) == str(path)
+        assert path.read_text() == report.to_json() + "\n"
+        assert FailureReport.from_json(path.read_text()) == report
+
     def test_cycle_limit_report(self):
         program, fabric, memory, _ = copy_workload()
         with pytest.raises(SimulationLimit) as info:
