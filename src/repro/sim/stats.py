@@ -64,6 +64,14 @@ class SimStats:
     also emits a :class:`repro.trace.TraceEvent` (see the module
     docstring for the counter ↔ event-kind table), which lets
     :meth:`repro.trace.MetricsRegistry.reconcile` cross-check the two.
+
+    :attr:`cgra_stall_no_input` and :attr:`cgra_stall_no_output_room`
+    count the *stepped* cycles in which the CGRA stalled, not every cycle
+    it stood stalled: the cycles
+    :func:`~repro.sim.softbrain.run_lockstep` fast-forwards over are
+    never stepped, so they count nowhere.  Stepping or skipping a cycle
+    of a stall therefore moves these two counters even when the cycles,
+    the timeline and the memory and scratchpad stats stay the same.
     """
 
     cycles: int = 0
