@@ -8,8 +8,7 @@ speedup curve bends exactly where the workload stops being compute-bound.
 Run:  python examples/multi_unit_scaling.py
 """
 
-from repro.cgra import dnn_provisioned
-from repro.sim import run_multi_unit
+from repro.workloads.common import run_units_and_verify
 from repro.workloads.dnn import build_conv
 from repro.workloads.dnn.layers import ConvLayer
 
@@ -23,16 +22,10 @@ def main() -> None:
 
     baseline = None
     for units in (1, 2, 4, 8):
-        builts = [
+        result = run_units_and_verify([
             build_conv(layer, unit_id=u, num_units=units)
             for u in range(units)
-        ]
-        memory = builts[0].fresh_memory()  # the units share one image
-        result = run_multi_unit(
-            [b.program for b in builts], dnn_provisioned, memory=memory
-        )
-        for built in builts:
-            built.verify(memory)
+        ])
         baseline = baseline or result.cycles
         speedup = baseline / result.cycles
         print(f"{units:>6} {result.cycles:>14} {speedup:>8.2f}x "

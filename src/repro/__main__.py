@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                      # available workloads/experiments
     python -m repro run gemm                  # simulate + verify one workload
-    python -m repro run class1p --units 8     # a DNN layer, 8-unit partition
+    python -m repro run class1p --units 8     # a DNN layer on an 8-unit device
     python -m repro table1|table3|table4      # render a table
     python -m repro fig11|fig12|fig13|fig14|fig15
     python -m repro timeline gemm             # Figure 4(b)-style timeline
@@ -43,17 +43,37 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _build_workload(name: str, units: int):
+def _build_units(name: str, units: int = 1):
+    """One build per unit: a DNN layer partitioned across ``units``, or a
+    MachSuite kernel on one unit."""
     from .workloads.dnn.layers import DNN_LAYERS_BY_NAME
     from .workloads.machsuite import MACHSUITE
 
+    if units < 1:
+        raise SystemExit(f"--units must be at least 1, not {units}")
     if name in DNN_LAYERS_BY_NAME:
         from .workloads.dnn import build_dnn_layer
 
-        return build_dnn_layer(name, unit_id=0, num_units=units)
+        return [build_dnn_layer(name, unit_id=unit, num_units=units)
+                for unit in range(units)]
     if name in MACHSUITE:
-        return MACHSUITE[name][0]()
+        if units != 1:
+            raise SystemExit(f"--units partitions DNN layers only; "
+                             f"{name!r} is a MachSuite kernel")
+        return [MACHSUITE[name][0]()]
     raise SystemExit(f"unknown workload {name!r}; try 'python -m repro list'")
+
+
+def _simulate(builts, sink):
+    """Run one build alone, or several as one device on a shared memory,
+    verifying every unit; returns the unit results and the device cycles."""
+    from .workloads.common import run_and_verify, run_units_and_verify
+
+    if len(builts) == 1:
+        result = run_and_verify(builts[0], trace=sink)
+        return [result], result.cycles
+    device = run_units_and_verify(builts, trace=sink)
+    return device.unit_results, device.cycles
 
 
 def _file_sink(path):
@@ -64,33 +84,48 @@ def _file_sink(path):
 
 def _cmd_run(args) -> int:
     from .power import estimate_power
-    from .workloads.common import run_and_verify
 
-    built = _build_workload(args.workload, args.units)
+    builts = _build_units(args.workload, args.units)
     sink = _file_sink(args.trace_out) if args.trace_out else None
     started = time.time()
     try:
-        result = run_and_verify(built, trace=sink)
+        results, cycles = _simulate(builts, sink)
     finally:
         if sink is not None:
             sink.close()
     wall = time.time() - started
-    power = estimate_power(result, built.fabric)
-    print(f"{built.name}: verified OK")
-    print(f"  cycles:            {result.cycles}")
-    print(f"  instances fired:   {result.stats.instances_fired}")
-    print(f"  CGRA ops:          {result.stats.ops_executed} "
-          f"({result.stats.ops_per_cycle:.2f}/cycle)")
-    print(f"  commands issued:   {result.stats.commands_issued}")
-    print(f"  memory traffic:    {result.memory.stats.bytes_read} B read / "
-          f"{result.memory.stats.bytes_written} B written")
-    print(f"  estimated power:   {power.total_mw:.1f} mW (one unit)")
+    powers = [estimate_power(result, built.fabric)
+              for built, result in zip(builts, results)]
+    stats = [result.stats for result in results]
+    ops = sum(s.ops_executed for s in stats)
+    memory = results[0].memory  # the units share it
+    if len(builts) == 1:
+        verified, finish = "", ""
+        power = f"{powers[0].total_mw:.1f} mW (one unit)"
+    else:
+        verified = f" on {len(builts)} units"
+        finish = (f" (units finish {min(s.cycles for s in stats)}"
+                  f"-{max(s.cycles for s in stats)})")
+        power = (f"{min(p.total_mw for p in powers):.1f}"
+                 f"-{max(p.total_mw for p in powers):.1f} mW per unit")
+    print(f"{builts[0].name}: verified OK{verified}")
+    print(f"  cycles:            {cycles}{finish}")
+    print(f"  instances fired:   {sum(s.instances_fired for s in stats)}")
+    print(f"  CGRA ops:          {ops} "
+          f"({ops / cycles if cycles else 0.0:.2f}/cycle)")
+    print(f"  commands issued:   {sum(s.commands_issued for s in stats)}")
+    print(f"  memory traffic:    {memory.stats.bytes_read} B read / "
+          f"{memory.stats.bytes_written} B written")
+    print(f"  estimated power:   {power}")
     print(f"  simulated in {wall:.2f}s wall clock")
     if args.trace_out:
         print(f"  trace written to {args.trace_out}")
     if args.power:
-        print()
-        print(power.table())
+        for unit, power in enumerate(powers):
+            print()
+            if len(powers) > 1:
+                print(f"unit {unit}:")
+            print(power.table())
     return 0
 
 
@@ -98,7 +133,7 @@ def _cmd_timeline(args) -> int:
     from .sim import render_timeline
     from .workloads.common import run_and_verify
 
-    built = _build_workload(args.workload, 1)
+    (built,) = _build_units(args.workload)
     sink = _file_sink(args.trace_out) if args.trace_out else None
     try:
         result = run_and_verify(built, trace=sink)
@@ -115,7 +150,6 @@ def _cmd_trace(args) -> int:
     """Trace a workload: write a trace file, print derived metrics, and
     cross-check the event-derived totals against SimStats."""
     from .trace import MetricsRegistry, TeeSink, format_schema_table
-    from .workloads.common import run_and_verify
 
     if args.schema:
         print(format_schema_table())
@@ -123,29 +157,44 @@ def _cmd_trace(args) -> int:
     if not args.workload:
         raise SystemExit("workload required (or use --schema)")
 
-    built = _build_workload(args.workload, args.units)
-    metrics = MetricsRegistry(window=args.window)
-    sinks = [metrics]
+    builts = _build_units(args.workload, args.units)
+    several = len(builts) > 1
+    # one registry per unit: summed over a device, busy counts would read
+    # as utilization above 100%
+    metrics = [MetricsRegistry(window=args.window,
+                               unit=unit if several else None)
+               for unit in range(len(builts))]
+    sinks = list(metrics)
     if args.trace_out:
         sinks.append(_file_sink(args.trace_out))
     sink = TeeSink(*sinks)
     started = time.time()
     try:
-        result = run_and_verify(built, trace=sink)
+        results, cycles = _simulate(builts, sink)
     finally:
         sink.close()
     wall = time.time() - started
 
-    print(f"{built.name}: verified OK in {result.cycles} cycles "
+    on_units = f" on {len(builts)} units" if several else ""
+    print(f"{builts[0].name}: verified OK{on_units} in {cycles} cycles "
           f"({wall:.2f}s wall clock)")
-    print(metrics.summary())
-    mismatches = metrics.reconcile(result.stats)
-    if mismatches:
-        print("RECONCILIATION FAILED (event totals vs SimStats):")
-        for name, (from_events, from_stats) in sorted(mismatches.items()):
-            print(f"  {name}: events={from_events} stats={from_stats}")
+    failed = False
+    for unit, (registry, result) in enumerate(zip(metrics, results)):
+        label = f"unit {unit}: " if several else ""
+        if several:
+            print(f"unit {unit}, finished at cycle {result.cycles}:")
+        print(registry.summary())
+        mismatches = registry.reconcile(result.stats)
+        if mismatches:
+            print(f"{label}RECONCILIATION FAILED (event totals vs SimStats):")
+            for name, (from_events, from_stats) in sorted(mismatches.items()):
+                print(f"  {name}: events={from_events} stats={from_stats}")
+            failed = True
+        else:
+            print(f"{label}event-derived totals reconcile exactly with "
+                  f"SimStats")
+    if failed:
         return 1
-    print("event-derived totals reconcile exactly with SimStats")
     if args.trace_out:
         kind = "JSONL" if args.trace_out.endswith(".jsonl") else "Chrome/Perfetto"
         print(f"{kind} trace written to {args.trace_out}")
@@ -199,7 +248,8 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="simulate and verify a workload")
     run_parser.add_argument("workload")
     run_parser.add_argument("--units", type=int, default=1,
-                            help="partition DNN layers across N units")
+                            help="run a DNN layer partitioned across an "
+                                 "N-unit device")
     run_parser.add_argument("--power", action="store_true",
                             help="print the per-component power breakdown")
     run_parser.add_argument("--trace-out", metavar="PATH",
@@ -224,7 +274,8 @@ def main(argv=None) -> int:
                                    "(.jsonl = JSON Lines, else Chrome JSON "
                                    "loadable in Perfetto)")
     trace_parser.add_argument("--units", type=int, default=1,
-                              help="partition DNN layers across N units")
+                              help="run a DNN layer partitioned across an "
+                                   "N-unit device")
     trace_parser.add_argument("--window", type=int, default=64,
                               help="utilization-series window, cycles")
     trace_parser.add_argument("--schema", action="store_true",

@@ -33,8 +33,13 @@ class RouterState:
     occupancy: Dict[Link, Set[str]] = field(default_factory=dict)
 
     def claim_path(self, path: List[Link], producer: str) -> None:
+        occupancy = self.occupancy
         for link in path:
-            self.occupancy.setdefault(link, set()).add(producer)
+            users = occupancy.get(link)
+            if users is None:
+                occupancy[link] = {producer}
+            else:
+                users.add(producer)
 
     def total_channels_used(self) -> int:
         return sum(len(users) for users in self.occupancy.values())

@@ -7,7 +7,6 @@ from .dnn_comparison import (
     dnn_comparison,
     format_figure11,
     geomean,
-    run_softbrain_dnn,
 )
 from .generality import format_table4, table4_rows
 from .sensitivity import (
@@ -43,7 +42,6 @@ __all__ = [
     "format_table4",
     "geomean",
     "machsuite_comparison",
-    "run_softbrain_dnn",
     "sweep_dram_bandwidth",
     "sweep_port_depth",
     "sweep_stream_table",

@@ -56,14 +56,14 @@ def _rerun(built: BuiltWorkload, params=None, memory_params=None) -> int:
 
 def sweep_port_depth(
     make_workload: Callable[..., BuiltWorkload],
-    fabric_factory: Callable[[int], object],
+    make_fabric: Callable[[int], object],
     depths: Sequence[int] = (2, 4, 8, 16, 32, 64),
 ) -> SweepResult:
     """Vector-port FIFO depth: latency tolerance of the port interface."""
     points = []
     name = ""
     for depth in depths:
-        built = make_workload(fabric=fabric_factory(depth))
+        built = make_workload(fabric=make_fabric(depth))
         name = built.name
         points.append(SweepPoint(depth, _rerun(built)))
     return SweepResult("port_depth", name, points)

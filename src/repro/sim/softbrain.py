@@ -350,9 +350,10 @@ def run_lockstep(sims: List[SoftbrainSim]) -> List[RunResult]:
 
     The one cycle loop: :func:`run_program` passes one unit and
     :func:`~repro.sim.multi_unit.run_multi_unit` passes N units on one
-    shared :class:`MemorySystem`.  Each cycle steps every live unit once;
-    a unit that has finished is finalised at that cycle and steps no
-    more.  A cycle in which no unit progresses fast-forwards to the
+    shared :class:`MemorySystem`.  Each cycle steps every live unit once,
+    in index order, so a lower-index unit wins a tie for the shared
+    interface's one accept slot per cycle.  A unit that has finished is
+    finalised at that cycle and steps no more.  A cycle in which no unit progresses fast-forwards to the
     earliest pending event of any live unit; with none pending, the live
     units are deadlocked.  No unit steps at a cycle above
     ``params.max_cycles``.  Results come back in the order of ``sims``.

@@ -4,7 +4,9 @@ Every workload — DNN layer or MachSuite kernel — reduces to a
 :class:`BuiltWorkload`: a stream program bound to a fabric, an immutable
 initial memory image, and a verifier that checks the simulated results
 against the reference implementation.  :func:`run_and_verify` is the
-one-stop entry the tests, examples and benchmarks all use.
+one-stop entry the tests, examples and benchmarks all use;
+:func:`run_units_and_verify` is its multi-unit twin, which runs one build
+per unit as one device on a shared memory.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ..cgra.fabric import Fabric
 from ..core.isa.patterns import LINE_BYTES
 from ..core.isa.program import StreamProgram
 from ..sim.memory import MemoryImage, MemoryParams, MemorySystem, load_image, pack_words
+from ..sim.multi_unit import MultiUnitResult, run_multi_unit
 from ..sim.softbrain import RunResult, SoftbrainParams, run_program
 from ..trace import TraceSink
 
@@ -114,6 +117,37 @@ def run_and_verify(
         trace=trace, faults=faults,
     )
     built.verify(memory)
+    return result
+
+
+def run_units_and_verify(
+    builts: Sequence[BuiltWorkload],
+    params: Optional[SoftbrainParams] = None,
+    trace: Optional[TraceSink] = None,
+) -> MultiUnitResult:
+    """Simulate one build per unit as one device and check every unit's
+    outputs; returns the device result.
+
+    Unit ``i`` runs ``builts[i].program`` on ``builts[i].fabric``.  The
+    builds split one workload's work, not its data, so they hold one
+    image, and the units share one fresh memory made from it.
+    ``trace`` is forwarded as in :func:`run_and_verify`.
+    """
+    if not builts:
+        raise ValueError("need at least one unit build")
+    image = builts[0].image
+    for built in builts[1:]:
+        if built.image != image:
+            raise ValueError(f"{built.name}: unit builds must share one "
+                             f"memory image")
+    memory = builts[0].fresh_memory()
+    result = run_multi_unit(
+        [built.program for built in builts],
+        [built.fabric for built in builts],
+        memory=memory, params=params, trace=trace,
+    )
+    for built in builts:
+        built.verify(memory)
     return result
 
 

@@ -235,9 +235,5 @@ def build_conv(
             "num_units": num_units,
             "instances": len(work) * blocks * kkn,
             "macs": len(work) * rows_per_group * layer.out_w * kkn,
-            # Input planes are read by every unit: chip-wide they are
-            # fetched from DRAM once and shared through the cache, so the
-            # multi-unit harness treats them as warm for unit 0.
-            "shared_regions": [(in_addr, in_bytes)],
         },
     )

@@ -22,8 +22,41 @@ class TestCli:
         assert "cycles" in out
 
     def test_run_dnn_with_units(self, capsys):
+        # --units runs the simulated device: every unit verified, and the
+        # device cycles are those of the device entry the figures use.
+        from repro.workloads.common import run_units_and_verify
+        from repro.workloads.dnn import build_dnn_layer
+
         assert main(["run", "pool1p", "--units", "8"]) == 0
-        assert "verified OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verified OK on 8 units" in out
+        device = run_units_and_verify(
+            [build_dnn_layer("pool1p", unit_id=u, num_units=8)
+             for u in range(8)])
+        finish = [result.cycles for result in device.unit_results]
+        assert (f"  cycles:            {device.cycles} "
+                f"(units finish {min(finish)}-{max(finish)})\n") in out
+        assert f"  instances fired:   {device.total_instances}\n" in out
+
+    def test_trace_dnn_with_units(self, capsys):
+        # Each unit reconciles on its own events, and its utilization is
+        # its own: conv1p's 8 engines summed would read over 100%.
+        assert main(["trace", "conv1p", "--units", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "verified OK on 8 units" in out
+        for unit in range(8):
+            assert (f"unit {unit}: event-derived totals reconcile exactly"
+                    in out)
+        shares = [float(line.split()[-1].rstrip("%"))
+                  for line in out.splitlines() if line.endswith("%")]
+        assert shares and max(shares) <= 100.0
+
+    @pytest.mark.parametrize("argv", [["gemm", "--units", "2"],
+                                      ["pool1p", "--units", "0"]],
+                             ids=["machsuite", "zero"])
+    def test_run_units_rejected(self, argv):
+        with pytest.raises(SystemExit, match="--units"):
+            main(["run", *argv])
 
     def test_run_with_power(self, capsys):
         assert main(["run", "backprop", "--power"]) == 0

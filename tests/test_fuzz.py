@@ -251,6 +251,37 @@ class TestShrinker:
         assert len(calls) <= 3
 
 
+    def test_first_accepted_candidate_can_be_the_scaled_plan(self):
+        """A divergence that needs the plan's own DFG rejects the trivial
+        collapse; the next candidate keeps the DFG with one instance,
+        canonical streams and no recurrence, and is the one accepted."""
+        plan = _plan("budget")
+        assert plan.num_instances > 1 and plan.recur_in
+        accepted = []
+
+        def diverges(candidate):
+            if candidate.dfg_spec != plan.dfg_spec:
+                return False
+            accepted.append(candidate)
+            return True
+
+        shrink(plan, diverges)
+        expected = plan_from_json(plan_to_json(plan))
+        expected.num_instances = 1
+        expected.recur_in = expected.recur_out = ""
+        expected.feeds = {
+            port["name"]: [FeedSegment(kind="const", count=port["width"],
+                                       value=1)]
+            for port in plan.dfg_spec["inputs"]}
+        expected.drains = {
+            port["name"]: [DrainSegment(
+                kind="mem", per_access=len(port["sources"]), num_strides=1,
+                stride_elems=len(port["sources"]), elem_bytes=8)]
+            for port in plan.dfg_spec["outputs"]}
+        assert plan_to_json(accepted[0]) == plan_to_json(expected)
+        assert run_case(accepted[0]).ok
+
+
 class TestCorpus:
     def test_corpus_exists(self):
         assert len(corpus_paths()) >= 5
@@ -302,6 +333,22 @@ class TestCli:
         assert main(["fuzz", "--smoke", "--count", "2"]) == 0
         out = capsys.readouterr().out
         assert f"{len(corpus_paths())} corpus cases" in out
+
+    def test_fuzz_divergence_shrinks_and_saves(self, capsys, tmp_path,
+                                               monkeypatch):
+        """A divergence prints DIVERGED, the size of the shrunk case in
+        lines and commands, and saves it; the command count is that of
+        the saved case."""
+        _corrupt_interpreter_writes(monkeypatch)
+        assert main(["fuzz", "--seed", "0", "--count", "1",
+                     "--save-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "fuzz-0-0: DIVERGED" in out
+        saved = (tmp_path / "fuzz-0-0.json").read_text()
+        commands = build_case(plan_from_json(saved)).program.num_commands
+        assert commands == 4
+        assert (f"  shrunk to {saved.count(chr(10))} lines, "
+                f"{commands} commands\n") in out
 
     def test_fuzz_faults(self, capsys, tmp_path):
         assert main(["fuzz", "--faults", "--seed", "0", "--count", "3",

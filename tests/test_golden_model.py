@@ -120,6 +120,29 @@ class TestFunctionalDeadlock:
 
 
 class TestInterpreterSetup:
+    def test_unhandled_command_type_is_named(self):
+        """A command class the interpreter has no handler for raises a
+        ``TypeError`` naming it, rather than running as some other kind."""
+        import dataclasses
+
+        from repro.core.isa import SDConstPort, StreamProgram
+
+        class Unhandled(SDConstPort):
+            pass
+
+        program = StreamProgram("odd", _passthrough_config())
+        program.const_port(1, 1, "A")
+        program.port_mem("O", 8, 8, 1, 0x100)
+        program.barrier_all()
+        index = next(i for i, item in enumerate(program.items)
+                     if isinstance(item, SDConstPort))
+        const = program.items[index]
+        program.items[index] = Unhandled(**{
+            field.name: getattr(const, field.name)
+            for field in dataclasses.fields(const)})
+        with pytest.raises(TypeError, match="cannot interpret Unhandled"):
+            interpret_program(program, BackingStore())
+
     def test_no_port_ref_built_after_config(self, monkeypatch):
         """The CGRA's port queues are bound once, at SD_Config: firing
         and draining build no ``PortRef`` on any corpus case."""

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.cgra import dnn_provisioned
-from repro.sim import MemoryParams, run_multi_unit, run_program
+from repro.sim import run_multi_unit, run_program
+from repro.workloads.common import run_units_and_verify
 from repro.workloads.dnn import DNN_LAYERS, build_classifier, build_dnn_layer
 from repro.workloads.dnn.layers import ClassifierLayer
 
@@ -13,10 +13,8 @@ from .test_golden_stats import GOLDEN_DIR, dump_golden, fingerprint
 
 
 def build_units(layer, units):
-    builts = [
-        build_classifier(layer, unit_id=u, num_units=units) for u in range(units)
-    ]
-    return builts, builts[0].fresh_memory()
+    return [build_classifier(layer, unit_id=u, num_units=units)
+            for u in range(units)]
 
 
 class TestMultiUnit:
@@ -31,12 +29,7 @@ class TestMultiUnit:
 
     def test_results_verify_across_units(self):
         layer = ClassifierLayer("mu", ni=128, nn=16)
-        builts, memory = build_units(layer, 4)
-        result = run_multi_unit(
-            [b.program for b in builts], dnn_provisioned, memory=memory
-        )
-        for built in builts:
-            built.verify(memory)
+        result = run_units_and_verify(build_units(layer, 4))
         assert len(result.unit_results) == 4
         assert result.total_instances == 16 * (128 // 16)
 
@@ -44,10 +37,7 @@ class TestMultiUnit:
         # Locks the lock-step loop for N units: each unit's fingerprint
         # plus the device cycle count, one golden file per unit.
         layer = ClassifierLayer("mu", ni=128, nn=16)
-        builts, memory = build_units(layer, 4)
-        result = run_multi_unit(
-            [b.program for b in builts], dnn_provisioned, memory=memory
-        )
+        result = run_units_and_verify(build_units(layer, 4))
         for index, unit in enumerate(result.unit_results):
             got = dict(fingerprint(unit), device_cycles=result.cycles)
             path = GOLDEN_DIR / f"multi-unit-mu-u{index}.json"
@@ -60,10 +50,7 @@ class TestMultiUnit:
 
     def test_device_cycles_is_slowest_unit(self):
         layer = ClassifierLayer("mu2", ni=64, nn=8)
-        builts, memory = build_units(layer, 2)
-        result = run_multi_unit(
-            [b.program for b in builts], dnn_provisioned, memory=memory
-        )
+        result = run_units_and_verify(build_units(layer, 2))
         assert result.cycles == max(r.cycles for r in result.unit_results)
 
     def test_shared_interface_creates_contention(self):
@@ -76,15 +63,28 @@ class TestMultiUnit:
             memory=solo_built.fresh_memory(),
         )
 
-        builts, memory = build_units(layer, 4)
-        shared = run_multi_unit(
-            [b.program for b in builts], dnn_provisioned, memory=memory
-        )
+        shared = run_units_and_verify(build_units(layer, 4))
         assert shared.unit_results[0].cycles > solo.cycles
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            run_multi_unit([], dnn_provisioned)
+            run_multi_unit([], [])
+        with pytest.raises(ValueError):
+            run_units_and_verify([])
+
+    def test_one_fabric_per_program(self):
+        built = build_classifier(ClassifierLayer("pair", ni=64, nn=4))
+        with pytest.raises(ValueError, match="2 unit programs but 1"):
+            run_multi_unit([built.program] * 2, [built.fabric])
+
+    def test_units_must_share_one_image(self):
+        # Units built from different data cannot share one memory.
+        first = build_classifier(ClassifierLayer("a", ni=64, nn=4),
+                                 unit_id=0, num_units=2)
+        other = build_classifier(ClassifierLayer("b", ni=64, nn=8),
+                                 unit_id=1, num_units=2)
+        with pytest.raises(ValueError, match="share one memory image"):
+            run_units_and_verify([first, other])
 
     def test_single_unit_multi_matches_run_program(self):
         layer = ClassifierLayer("solo", ni=64, nn=4)
@@ -92,31 +92,4 @@ class TestMultiUnit:
         expected = run_program(
             built.program, fabric=built.fabric, memory=built.fresh_memory()
         )
-        result = run_multi_unit(
-            [built.program], dnn_provisioned, memory=built.fresh_memory()
-        )
-        assert result.cycles == expected.cycles
-
-    def test_bandwidth_approximation_sane(self):
-        # The DNN harness approximates N units by giving one unit 1/N DRAM
-        # bandwidth.  Cross-validate: the approximation must land within
-        # 2x of the true multi-unit simulation.
-        layer = ClassifierLayer("xval", ni=256, nn=16)
-        units = 4
-
-        builts, memory = build_units(layer, units)
-        true_result = run_multi_unit(
-            [b.program for b in builts], dnn_provisioned, memory=memory
-        )
-
-        approx_built = build_classifier(layer, unit_id=0, num_units=units)
-        base = MemoryParams()
-        approx_memory = approx_built.fresh_memory(
-            MemoryParams(dram_gap_cycles=base.dram_gap_cycles * units)
-        )
-        approx = run_program(
-            approx_built.program, fabric=approx_built.fabric,
-            memory=approx_memory,
-        )
-        ratio = approx.cycles / true_result.cycles
-        assert 0.5 < ratio < 2.0, ratio
+        assert run_units_and_verify([built]).cycles == expected.cycles

@@ -276,7 +276,7 @@ class TestFailureReports:
         program, fabric, memory = deadlock_workload()
         program2 = deadlock_workload()[0]
         with pytest.raises(SimulationDeadlock, match="deadlock") as info:
-            run_multi_unit([program, program2], dnn_provisioned,
+            run_multi_unit([program, program2], [fabric, fabric],
                            memory=memory)
         report = info.value.report
         assert report is not None
@@ -313,8 +313,8 @@ class TestCycleLimitRule:
         def single(program, fabric, memory, params):
             run_program(program, fabric=fabric, memory=memory, params=params)
 
-        def multi(program, _fabric, memory, params):
-            run_multi_unit([program], dnn_provisioned, memory=memory,
+        def multi(program, fabric, memory, params):
+            run_multi_unit([program], [fabric], memory=memory,
                            params=params)
 
         # copy_workload(4) finishes at cycle 289: every budget below trips.
@@ -336,7 +336,7 @@ def _deadlock_dump(units=1, max_cycles=None):
         else:
             programs = [program] + [deadlock_workload()[0]
                                     for _ in range(units - 1)]
-            run_multi_unit(programs, dnn_provisioned, memory=memory,
+            run_multi_unit(programs, [fabric] * units, memory=memory,
                            params=params, trace=ring)
     return info.value
 

@@ -12,9 +12,11 @@ import pytest
 from repro.cgra import broadly_provisioned, dnn_provisioned
 from repro.core.compiler import schedule
 from repro.core.dfg import parse_dfg
-from repro.core.isa import StreamProgram
+from repro.core.isa import CONFIG_BASE_ADDR, StreamProgram
 from repro.core.isa.interpreter import interpret_program
-from repro.sim import MemorySystem, SimError, SoftbrainParams, run_program
+from repro.sim import (
+    MemorySystem, SimError, SoftbrainParams, run_multi_unit, run_program,
+)
 from repro.sim import softbrain
 from repro.trace import ListSink
 from repro.workloads.common import read_words, write_words
@@ -229,47 +231,60 @@ class CycleTableTest:
     state is ``occupancy+reserved`` at the end of the cycle.  Every
     mismatch is collected, and the test fails once, naming the rule, the
     signal and the cycle of each.
+
+    ``program`` may be a list of programs, one per unit, run as one
+    device on ``memory``.  A port or engine name prefixed ``u<i>.``
+    (``u1.A``, ``u1.mse_read``) is unit ``i``'s; an unprefixed one, and
+    the ``cgra`` column, are unit 0's.
     """
 
     def do_cycle_test(self, name, program, fabric, memory, ports, anchors,
                       table, engines=()):
+        programs = program if isinstance(program, list) else [program]
         sink = ListSink()
         failures = []
         try:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(softbrain, "PORT_SAMPLE_INTERVAL", 1)
-                run_program(program, fabric=fabric, memory=memory, trace=sink)
+                run_multi_unit(programs, [fabric] * len(programs),
+                               memory=memory, trace=sink)
         except SimError as exc:
             failures.append(f"run failed at cycle {exc.cycle}: "
                             f"{str(exc).splitlines()[0]}")
         events = sink.events
-        config = next(iter(program.config_images.values()))
-        hw_names = {
-            port: (f"in{config.hw_input_port(port)}"
-                   if port in config.dfg.inputs
-                   else f"out{config.hw_output_port(port)}")
-            for port in [*config.dfg.inputs, *config.dfg.outputs]
-        }
-        port_names = {hw: port for port, hw in hw_names.items()}
-        commands = program.commands
+        hw_names, port_names = {}, {}
+        for unit, unit_program in enumerate(programs):
+            config = next(iter(unit_program.config_images.values()))
+            for port in [*config.dfg.inputs, *config.dfg.outputs]:
+                hw = (f"in{config.hw_input_port(port)}"
+                      if port in config.dfg.inputs
+                      else f"out{config.hw_output_port(port)}")
+                hw_names[unit, port] = hw
+                port_names[unit, hw] = port
+        engine_of = {_unit_signal(engine): engine for engine in engines}
         cgra, samples = {}, {}
         issues = {engine: {} for engine in engines}
         for event in events:
-            if event.kind == "stream.issue" and event.component in issues:
-                command = commands[event.data["index"]]
+            if event.kind == "stream.issue":
+                engine = engine_of.get((event.unit, event.component))
+                if engine is None:
+                    continue
+                command = programs[event.unit].commands[event.data["index"]]
                 dest = getattr(command, "dest", None)
                 stream = (event.data["command"] if dest is None
-                          else port_names.get(str(dest), str(dest)))
-                seen = issues[event.component]
+                          else port_names.get((event.unit, str(dest)),
+                                              str(dest)))
+                seen = issues[engine]
                 seen[event.cycle] = (f"{seen[event.cycle]},{stream}"
                                      if event.cycle in seen else stream)
-            elif event.kind == "cgra.fire":
+            elif event.kind == "cgra.fire" and event.unit == 0:
                 cgra[event.cycle] = "fire"
-            elif event.kind == "cgra.stall":
+            elif event.kind == "cgra.stall" and event.unit == 0:
                 cgra[event.cycle] = f"stall:{event.data['cause']}"
             elif event.kind == "port.sample":
-                samples.setdefault(event.data["port"], {})[event.cycle] = (
-                    f"{event.data['occupancy']}+{event.data['reserved']}")
+                samples.setdefault((event.unit, event.data["port"]), {})[
+                    event.cycle] = (f"{event.data['occupancy']}+"
+                                    f"{event.data['reserved']}")
         base = {letter: find(events) for letter, find in anchors.items()}
 
         def at(expr):
@@ -278,7 +293,8 @@ class CycleTableTest:
 
         def port_state(port, cycle):
             # a port keeps its last sampled state through unsampled cycles
-            seen = samples.get(hw_names[port], {})
+            unit, name = _unit_signal(port)
+            seen = samples.get((unit, hw_names[unit, name]), {})
             known = [c for c in seen if c <= cycle]
             return seen[max(known)] if known else "0+0"
 
@@ -300,10 +316,19 @@ class CycleTableTest:
                 for port, want in zip(ports, want_ports):
                     got = port_state(port, cycle)
                     if got != want:
+                        unit, name = _unit_signal(port)
                         failures.append(
-                            f"{rule}: chk {port} ({hw_names[port]}) on "
-                            f"{where}: got {got!r}, want {want!r}")
+                            f"{rule}: chk {port} ({hw_names[unit, name]}) "
+                            f"on {where}: got {got!r}, want {want!r}")
         assert not failures, f"{name}:\n" + "\n".join(failures)
+
+
+def _unit_signal(signal):
+    """``"u1.A"`` -> ``(1, "A")``; an unprefixed signal is unit 0's."""
+    prefix, dot, rest = signal.partition(".")
+    if dot and prefix[:1] == "u" and prefix[1:].isdigit():
+        return int(prefix[1:]), rest
+    return 0, signal
 
 
 def _first(kind, **data):
@@ -651,3 +676,38 @@ class TestMemorySlot(CycleTableTest):
         ]
         return (program, fabric, memory, ("A", "O"), anchors, table,
                 ("mse_read", "mse_write"))
+
+
+class TestUnitArbitration(CycleTableTest):
+    """Units share the memory interface's one accept per cycle and step in
+    index order, so on a tie the lower-index unit takes the slot, every
+    cycle it has a request ready, and the other unit's ready request
+    waits for a cycle the slot is free."""
+
+    @cycle_test
+    def test_lower_index_unit_wins_the_slot(self):
+        fabric = dnn_provisioned()
+        memory = MemorySystem()
+        write_words(memory, 0x1000, list(range(64)))
+        memory.warm(0x1000, 512)
+        memory.warm(CONFIG_BASE_ADDR, 4096)  # both config loads hit
+        programs = []
+        for unit in range(2):
+            # each unit reads its own four lines
+            program = StreamProgram(f"arb-u{unit}", passthrough(fabric))
+            program.mem_port(0x1000 + 256 * unit, 64, 8, 4, "A")
+            program.port_mem("O", 8, 8, 4, 0x8000 + 256 * unit)
+            program.barrier_all()
+            programs.append(program)
+        anchors = {"c": _first("stream.issue", command="SD_Config"),
+                   "d": _first("stream.issue", command="SD_MemPort")}
+        wins, waits = "lower index wins", "waits for a free slot"
+        table = [
+            # rule  cycles      cgra  mse_read     u1.mse_read  A     u1.A
+            (wins,  "c+0",      "-",  "SD_Config", "-",         "0+0", "0+0"),
+            (waits, "c+1",      "-",  "-",         "SD_Config", "0+0", "0+0"),
+            (wins,  "d+0..d+3", "-",  "A",         "-",         "0+0", "0+0"),
+            (waits, "d+4..d+7", "-",  "-",         "A",         "0+0", "0+0"),
+        ]
+        return (programs, fabric, memory, ("A", "u1.A"), anchors, table,
+                ("mse_read", "u1.mse_read"))

@@ -8,7 +8,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.sim import MemorySystem, run_multi_unit, softbrain
+from repro.sim import MemorySystem, softbrain
 from repro.sim.stats import SimStats
 from repro.trace import (
     EVENT_SCHEMAS,
@@ -24,7 +24,7 @@ from repro.trace import (
     sink_for_path,
     validate_event,
 )
-from repro.workloads.common import run_and_verify
+from repro.workloads.common import run_and_verify, run_units_and_verify
 from repro.workloads.machsuite import MACHSUITE
 
 
@@ -321,16 +321,14 @@ class TestJsonlSink:
 
 class TestMultiUnitTracing:
     def test_units_tagged_and_memory_shared(self):
-        from repro.cgra import dnn_provisioned
         from repro.workloads.dnn import build_dnn_layer
 
         units = 2
-        builts = [build_dnn_layer("pool1p", unit_id=i, num_units=units)
-                  for i in range(units)]
-        memory = builts[0].fresh_memory()  # the units share one image
         sink = ListSink()
-        result = run_multi_unit([b.program for b in builts], dnn_provisioned,
-                                memory=memory, trace=sink)
+        result = run_units_and_verify(
+            [build_dnn_layer("pool1p", unit_id=i, num_units=units)
+             for i in range(units)],
+            trace=sink)
         unit_tags = {e.unit for e in sink.events}
         assert {0, 1} <= unit_tags
         assert {e.unit for e in sink.events if e.kind == "mem.access"} == \
