@@ -37,9 +37,10 @@ class CommandTrace:
     (``command.enqueue`` / ``command.dispatch`` / ``command.complete``)
     carries, so ASCII timelines and exported traces can be joined on it.
     ``ports`` holds the command's ``(kind, port_id, role)`` scoreboard
-    keys and ``kind`` its dispatch class (``"barrier"``, ``"config"`` or
-    ``"stream"``), both resolved once when the dispatcher decodes it at
-    enqueue.
+    keys, ``kind`` its dispatch class (``Command.dispatch_class``) and
+    ``engine`` the stream engine that will run it, all resolved once when
+    the dispatcher decodes it at enqueue.  The engine points back at the
+    simulator, so it is dropped once the engine accepts the command.
     """
 
     index: int
@@ -49,6 +50,7 @@ class CommandTrace:
     completed: Optional[int] = None
     ports: Tuple[Tuple[str, int, str], ...] = ()
     kind: str = "stream"
+    engine: Optional[object] = None
 
     @property
     def label(self) -> str:
@@ -126,9 +128,9 @@ class Timeline:
 
     def note_enqueue(self, command: Command, cycle: int,
                      ports: Tuple[Tuple[str, int, str], ...] = (),
-                     kind: str = "stream") -> CommandTrace:
-        trace = CommandTrace(len(self.traces), command, cycle, ports=ports,
-                             kind=kind)
+                     engine: Optional[object] = None) -> CommandTrace:
+        trace = CommandTrace(len(self.traces), command, cycle, None, None,
+                             ports, command.dispatch_class, engine)
         self.traces.append(trace)
         return trace
 
