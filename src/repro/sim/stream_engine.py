@@ -138,9 +138,6 @@ class StreamEngineBase:
     def has_free_slot(self) -> bool:
         return len(self.streams) < self.table_size
 
-    def idle(self) -> bool:
-        return not self.streams
-
     def accept(self, command: Command, trace: CommandTrace) -> None:
         if not self.has_free_slot():
             raise StreamTableError(f"{self.name}: stream table full")
