@@ -154,3 +154,23 @@ def run_units_and_verify(
 def make_rng(seed: int) -> random.Random:
     """Deterministic per-workload RNG."""
     return random.Random(0x5D5D ^ seed)
+
+
+def draw_ints(rng: random.Random, lo: int, hi: int, count: int) -> List[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, draw for draw.
+
+    It runs the ``getrandbits`` rejection loop that ``Random.randint``
+    runs for each value, once per call rather than through two method
+    calls per value, and leaves ``rng`` in the same state.
+    """
+    width = hi - lo + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    values = []
+    append = values.append
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        append(lo + r)
+    return values
