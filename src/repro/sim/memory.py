@@ -50,7 +50,8 @@ def unpack_words(buffer, offset: int, count: int, size: int,
 def pack_words(values: Sequence[int], elem_bytes: int = 8) -> bytes:
     """Integers as ``elem_bytes``-byte two's-complement little-endian words."""
     mask = (1 << (8 * elem_bytes)) - 1
-    return b"".join((v & mask).to_bytes(elem_bytes, "little") for v in values)
+    return struct.pack(f"<{len(values)}{_CODES[elem_bytes]}",
+                       *[value & mask for value in values])
 
 
 @dataclass
