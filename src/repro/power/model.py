@@ -78,7 +78,8 @@ class PowerBreakdown:
 
 
 def activity_factors(result: RunResult, fabric: Fabric) -> Dict[str, float]:
-    """Derive per-component activity factors from simulation statistics."""
+    """Derive one activity factor per :data:`SOFTBRAIN_COMPONENTS` entry
+    from simulation statistics."""
     stats = result.stats
     cycles = max(1, stats.cycles)
     num_fus = max(1, fabric.num_fus)
@@ -86,7 +87,6 @@ def activity_factors(result: RunResult, fabric: Fabric) -> Dict[str, float]:
     fu = stats.ops_executed / (cycles * num_fus)
     network = stats.cgra_utilization
     engines = sum(stats.engine_busy.values()) / (3.0 * cycles)
-    mem_accesses = result.memory.stats.requests
     scratch_accesses = (
         result.scratchpad.stats.reads + result.scratchpad.stats.writes
     )
@@ -107,7 +107,6 @@ def activity_factors(result: RunResult, fabric: Fabric) -> Dict[str, float]:
         "stream_engines": min(1.0, engines),
         "scratchpad": min(1.0, scratch),
         "vector_ports": ports,
-        "_memory_requests": min(1.0, mem_accesses / cycles),
     }
 
 
@@ -116,7 +115,7 @@ def estimate_power(result: RunResult, fabric: Fabric) -> PowerBreakdown:
     activity factors."""
     activity = activity_factors(result, fabric)
     component_mw = {
-        name: model.power_mw(activity.get(name, 0.0))
+        name: model.power_mw(activity[name])
         for name, model in SOFTBRAIN_COMPONENTS.items()
     }
     return PowerBreakdown(component_mw, activity)

@@ -33,7 +33,7 @@ from repro.core.isa import (
     is_barrier,
     out_port,
 )
-from repro.core.isa.commands import Command, PortRef, port_uses
+from repro.core.isa.commands import BARRIER_TYPES, Command, PortRef, port_uses
 from repro.fuzz.case import build_case, plan_from_json
 from repro.fuzz.cli import corpus_paths
 
@@ -90,6 +90,12 @@ class TestPortRef:
     def test_negative_id(self):
         with pytest.raises(ValueError):
             in_port(-1)
+
+    def test_refs_are_interned(self):
+        assert in_port(3) is in_port(3)
+        assert out_port(3) is out_port(3)
+        assert ind_port(3) is ind_port(3)
+        assert in_port(3) == PortRef("in", 3) and in_port(3) is not out_port(3)
 
 
 class TestCommandValidation:
@@ -153,6 +159,15 @@ class TestCommandValidation:
                      cls.scratch_counter)
             assert facts == (opcode, engine, count, counter), cls.__name__
             assert 1 <= count <= 3
+
+    def test_dispatch_classes(self):
+        # Barriers release at the queue head, SD_Config waits for the unit
+        # to quiesce, and every other command issues as a stream.
+        for cls in Command.__subclasses__():
+            expected = ("barrier" if cls in BARRIER_TYPES
+                        else "config" if cls is SDConfig else "stream")
+            assert cls.dispatch_class == expected, cls.__name__
+            assert (cls.engine == "dispatch") == (expected == "barrier")
 
 
 class TestDeclarations:

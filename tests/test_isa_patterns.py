@@ -28,6 +28,15 @@ class TestAffine2D:
         assert p.num_elements == 8
         assert p.classify() == "linear"
 
+    def test_equal_patterns_hash_equal(self):
+        # The simulator memoises line requests by pattern.
+        a = Affine2D(64, 16, 32, 4, 2, True)
+        b = Affine2D(64, 16, 32, 4, 2, True)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((64, 16, 32, 4, 2, True))
+        assert a != Affine2D(64, 16, 32, 4, 2, False)
+        assert len({a, b, Affine2D.linear(64, 16)}) == 2
+
     def test_total_bytes_and_elements(self):
         p = Affine2D(0, access_size=16, stride=32, num_strides=4)
         assert p.total_bytes == 64

@@ -9,10 +9,12 @@ has to repoint or copy a store by hand.
 
 import ast
 import pathlib
+import random
 
 import pytest
 
-from repro.workloads.common import run_and_verify
+from repro.sim.memory import pack_words
+from repro.workloads.common import draw_ints, run_and_verify
 from repro.workloads.dnn import DNN_LAYERS_BY_NAME, build_dnn_layer
 from repro.workloads.machsuite import MACHSUITE
 
@@ -100,3 +102,39 @@ def test_guard_catches_each_misuse():
     )
     assert [line for line, _ in _store_misuse(ast.parse(source))] == [
         1, 3, 4, 5]
+
+
+# -- the builders' exact bulk forms ---------------------------------------------
+
+DRAW_RANGES = [(5, 5), (0, 0), (0, 1), (0, 3), (-4, 3), (-8, 7), (-128, 127),
+               (1, 60), (-30, 30), (-100, 100), (-500, 500), (0, 2**32 - 1),
+               (-(2**40), 2**40)]
+
+
+@pytest.mark.parametrize("lo,hi", DRAW_RANGES)
+@pytest.mark.parametrize("seed", [0, 1, 0x5D5D ^ 2, 12345])
+def test_draw_ints_is_randint(seed, lo, hi):
+    """Width 1, powers of two, negative bounds and widths past one
+    32-bit word: the same values and the same generator state after."""
+    drawn, expected = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 7, 300):
+        assert draw_ints(drawn, lo, hi, count) == [
+            expected.randint(lo, hi) for _ in range(count)]
+        assert drawn.getstate() == expected.getstate()
+
+
+def _pack_one_by_one(values, elem_bytes):
+    mask = (1 << (8 * elem_bytes)) - 1
+    return b"".join((v & mask).to_bytes(elem_bytes, "little") for v in values)
+
+
+@pytest.mark.parametrize("elem_bytes", [1, 2, 4, 8])
+def test_pack_words_is_the_per_value_join(elem_bytes):
+    rng = random.Random(elem_bytes)
+    bits = 8 * elem_bytes
+    for count in (0, 1, 3, 512):
+        values = [rng.randint(-(1 << bits), (1 << bits) - 1)
+                  for _ in range(count)]
+        values[:2] = [-1, -(1 << (bits - 1))][:count]
+        assert pack_words(values, elem_bytes) == _pack_one_by_one(
+            values, elem_bytes)

@@ -13,6 +13,7 @@ from repro.experiments import (
 )
 from repro.power import (
     SOFTBRAIN_COMPONENTS,
+    activity_factors,
     estimate_power,
     softbrain_area_mm2,
     softbrain_peak_power_mw,
@@ -39,6 +40,15 @@ class TestPowerModel:
             "control_core", "cgra_network", "fus", "stream_engines",
             "scratchpad", "vector_ports",
         }
+
+    def test_one_activity_per_component(self):
+        # Each activity factor feeds one component's power, and no other
+        # key is derived: a device run's shared memory would count every
+        # unit's requests.
+        built = build_spmv_ellpack(n=16)
+        result = run_and_verify(built)
+        activity = activity_factors(result, built.fabric)
+        assert list(activity) == list(SOFTBRAIN_COMPONENTS)
 
     def test_measured_power_below_peak(self):
         built = build_spmv_ellpack(n=16)

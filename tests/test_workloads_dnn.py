@@ -4,6 +4,9 @@ Small layer instances keep these fast; the full Figure 11 sizes run in the
 benchmark harness.
 """
 
+import itertools
+import random
+
 import pytest
 
 from repro.workloads.common import run_and_verify
@@ -19,6 +22,7 @@ from repro.workloads.dnn import (
     classifier_dfg,
     reference_classifier,
 )
+from repro.workloads.dnn.conv import reference_conv
 from repro.core.dfg.instructions import fixed_point_sigmoid
 
 
@@ -71,6 +75,27 @@ class TestConv:
         layer = ConvLayer("split", out_w=8, out_h=4, n_in=2, k=3, n_out=2)
         for unit in range(2):
             run_and_verify(build_conv(layer, unit_id=unit, num_units=2))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_reference_is_the_plain_loop(self, k):
+        # Wide data wraps past 16 bits, both ways.
+        layer = ConvLayer("ref", out_w=4, out_h=3, n_in=2, k=k, n_out=3)
+        rng = random.Random(k)
+        inputs = [[[rng.randint(-3000, 3000) for _ in range(layer.in_w)]
+                   for _ in range(layer.in_h)] for _ in range(layer.n_in)]
+        weights = [[[[rng.randint(-300, 300) for _ in range(k)]
+                     for _ in range(k)] for _ in range(layer.n_in)]
+                   for _ in range(layer.n_out)]
+        expected = [[[0] * layer.out_w for _ in range(layer.out_h)]
+                    for _ in range(layer.n_out)]
+        for o, y, x in itertools.product(range(layer.n_out),
+                                         range(layer.out_h),
+                                         range(layer.out_w)):
+            total = sum(weights[o][i][ky][kx] * inputs[i][y + ky][x + kx]
+                        for i in range(layer.n_in) for ky in range(k)
+                        for kx in range(k)) & 0xFFFF
+            expected[o][y][x] = total - 0x10000 if total >= 0x8000 else total
+        assert reference_conv(layer, inputs, weights) == expected
 
     def test_scratch_capacity_checked(self):
         huge = ConvLayer("huge", out_w=64, out_h=64, n_in=8, k=3, n_out=2)
