@@ -58,10 +58,6 @@ class AsicEstimate:
     area_mm2: float
     local_sram_kb: float
 
-    @property
-    def energy_mj(self) -> float:
-        return self.power_mw * self.cycles / 1e9  # at 1 GHz
-
 
 def local_sram_kb(ddg: Ddg, design: AsicDesign) -> float:
     """Local buffer capacity implied by the design point.

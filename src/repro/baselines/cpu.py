@@ -16,16 +16,23 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..power.tech import scale_power
+from .asic.ddg import Ddg
+
+#: DDG op kinds the core issues as plain integer ops
+INT_OP_KINDS = ("add", "cmp", "shift", "logic")
 
 
 @dataclass(frozen=True)
 class ScalarWorkload:
     """Scalar operation census of one workload (per full execution).
 
-    ``critical_path`` is the length in cycles of the longest unavoidable
-    serial dependence chain (e.g. a reduction that the compiler cannot
-    re-associate); ``memory_bytes`` is the total off-chip traffic assuming a
-    cache sized like the CPU's LLC.
+    ``critical_path`` is the length in cycles of the longest serial
+    dependence chain; ``memory_bytes`` is the total off-chip traffic
+    assuming a cache sized like the CPU's LLC, so each input and output
+    word moves once.  A MachSuite census takes both, and every op count,
+    from the kernel's DDG (:meth:`from_ddg`); only the control flow
+    (``branches``, ``mispredict_rate``), which a dataflow graph does not
+    record, is stated by hand.
     """
 
     name: str
@@ -49,6 +56,30 @@ class ScalarWorkload:
             + self.loads
             + self.stores
             + self.branches
+        )
+
+    @classmethod
+    def from_ddg(cls, ddg: Ddg, branches: int,
+                 mispredict_rate: float = 0.02) -> "ScalarWorkload":
+        """The census of the kernel that recorded ``ddg``, plus its
+        control flow."""
+        counts = ddg.op_histogram()
+        unplaced = sorted(set(counts) - {"load", "store", "mul", "div",
+                                         *INT_OP_KINDS})
+        if unplaced:
+            raise ValueError(f"{ddg.name}: the CPU census has no field for "
+                             f"DDG op kind(s) {', '.join(unplaced)}")
+        return cls(
+            name=ddg.name,
+            int_ops=sum(counts.get(kind, 0) for kind in INT_OP_KINDS),
+            mul_ops=counts.get("mul", 0),
+            div_ops=counts.get("div", 0),
+            loads=counts.get("load", 0),
+            stores=counts.get("store", 0),
+            branches=branches,
+            critical_path=ddg.critical_path(),
+            memory_bytes=8 * sum(ddg.arrays.values()),
+            mispredict_rate=mispredict_rate,
         )
 
 

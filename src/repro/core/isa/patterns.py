@@ -87,11 +87,6 @@ class Affine2D:
     def num_elements(self) -> int:
         return self.total_bytes // self.elem_bytes
 
-    @property
-    def extent(self) -> int:
-        """One past the highest byte address the pattern touches."""
-        return self.start + self.stride * (self.num_strides - 1) + self.access_size
-
     def element_addresses(self) -> Iterator[int]:
         """Byte address of each element, in stream order."""
         per_access = self.access_size // self.elem_bytes

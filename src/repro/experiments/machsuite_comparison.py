@@ -1,8 +1,9 @@
 """Figures 12-15: broadly-provisioned Softbrain vs per-workload ASICs.
 
 Per workload: simulate the stream-dataflow program on the one
-broadly-provisioned Softbrain unit; model the CPU baseline over the scalar
-census; sweep the mini-Aladdin design space and select the iso-performance
+broadly-provisioned Softbrain unit; trace the kernel's DDG once; model the
+CPU baseline over the scalar census derived from that DDG; sweep the
+mini-Aladdin design space over the same DDG and select the iso-performance
 Pareto point with power priority (Section 7.3's rule); then derive the four
 figures' series — speedup, power efficiency and energy efficiency relative
 to the OOO4 core, and ASIC area relative to Softbrain.
@@ -91,10 +92,8 @@ def machsuite_comparison(
         result = run_and_verify(built)
         power = estimate_power(result, built.fabric).total_mw
 
-        census = census_fn()
-        cpu = estimate_cpu_cycles(census)
-
         ddg = ddg_fn()
+        cpu = estimate_cpu_cycles(census_fn(ddg=ddg))
         points = explore_design_space(ddg, base=base_fn())
         asic = select_iso_performance(points, target_cycles=result.cycles)
 

@@ -123,9 +123,3 @@ class Scratchpad:
         """The full scratchpad image, without touching the access stats
         (used for end-state comparison by tests and the fuzz oracle)."""
         return bytes(self._data)
-
-    def read_word(self, addr: int, size: int = 8, signed: bool = False) -> int:
-        return int.from_bytes(self.read(addr, size), "little", signed=signed)
-
-    def write_word(self, addr: int, value: int, size: int = 8) -> None:
-        self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))

@@ -45,13 +45,13 @@ MACHSUITE: Dict[str, tuple] = {
     "spmv-crs": (
         build_spmv_crs,
         lambda: spmv_ddg("crs"),
-        lambda: spmv_census("crs"),
+        lambda ddg=None: spmv_census("crs", ddg=ddg),
         spmv_asic_base,
     ),
     "spmv-ellpack": (
         build_spmv_ellpack,
         lambda: spmv_ddg("ellpack"),
-        lambda: spmv_census("ellpack"),
+        lambda ddg=None: spmv_census("ellpack", ddg=ddg),
         spmv_asic_base,
     ),
     "stencil": (

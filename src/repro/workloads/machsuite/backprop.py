@@ -16,7 +16,7 @@ with the accumulate/reset idiom, making this a two-output-port datapath.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -163,14 +163,9 @@ def backprop_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=2, base_mul=2)
 
 
-def backprop_census(n_in: int = N_IN, n_out: int = N_OUT) -> ScalarWorkload:
-    pairs = n_in * n_out
-    return ScalarWorkload(
-        name="backprop",
-        int_ops=3 * pairs,
-        mul_ops=2 * pairs,
-        loads=3 * pairs,
-        stores=pairs + n_in,
-        branches=pairs // 4,
-        memory_bytes=8 * (pairs + n_in + n_out),
+def backprop_census(n_in: int = N_IN, n_out: int = N_OUT,
+                    ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        backprop_ddg(n_in, n_out) if ddg is None else ddg,
+        branches=n_in * n_out // 4,
     )

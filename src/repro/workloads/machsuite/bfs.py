@@ -15,7 +15,7 @@ operator; ``depth`` sweeps reach the fixpoint.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -187,17 +187,12 @@ def bfs_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=4, base_mul=1, mem_ports_per_partition=2)
 
 
-def bfs_census(n: int = N_NODES, e: int = N_EDGES) -> ScalarWorkload:
+def bfs_census(n: int = N_NODES, e: int = N_EDGES,
+               ddg: Optional[Ddg] = None) -> ScalarWorkload:
     # as many sweeps as the default graph takes to reach its fixpoint
     _, depth = bfs_levels(bfs_inputs(SEED, n, e))
-    work = e * depth
-    return ScalarWorkload(
-        name="bfs",
-        int_ops=2 * work,
-        loads=3 * work,
-        stores=n * depth,
-        branches=2 * work,
-        memory_bytes=8 * (e + n),
-        critical_path=depth * 12,  # level serialisation
+    return ScalarWorkload.from_ddg(
+        bfs_ddg(n, e) if ddg is None else ddg,
+        branches=2 * e * depth,
         mispredict_rate=0.12,  # data-dependent discovery branches
     )

@@ -13,7 +13,7 @@ undefined-behaviour case the ISA's barrier rules exist to prevent.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -212,16 +212,9 @@ def fft_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=4, base_mul=4)
 
 
-def fft_census(n: int = N_POINTS) -> ScalarWorkload:
+def fft_census(n: int = N_POINTS, ddg: Optional[Ddg] = None) -> ScalarWorkload:
     stages = n.bit_length() - 1
-    butterflies = (n // 2) * stages
-    return ScalarWorkload(
-        name="fft",
-        int_ops=8 * butterflies,
-        mul_ops=4 * butterflies,
-        loads=6 * butterflies,
-        stores=4 * butterflies,
-        branches=butterflies,
-        memory_bytes=8 * (2 * n + n),
-        critical_path=stages * 10,
+    return ScalarWorkload.from_ddg(
+        fft_ddg(n) if ddg is None else ddg,
+        branches=(n // 2) * stages,  # one per butterfly
     )

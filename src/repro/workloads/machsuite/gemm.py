@@ -11,7 +11,7 @@ command per operand per output block.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -125,15 +125,8 @@ def gemm_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=2, base_mul=2)
 
 
-def gemm_census(n: int = N) -> ScalarWorkload:
-    macs = n * n * n
-    return ScalarWorkload(
-        name="gemm",
-        int_ops=macs + n * n,
-        mul_ops=macs,
-        loads=2 * macs,
-        stores=n * n,
-        branches=macs // 4,
-        memory_bytes=8 * (2 * n * n + n * n),
-        critical_path=0,
+def gemm_census(n: int = N, ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        gemm_ddg(n) if ddg is None else ddg,
+        branches=n * n * n // 4,
     )

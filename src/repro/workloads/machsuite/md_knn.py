@@ -15,7 +15,7 @@ the kernel's reference run uses too.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -172,16 +172,9 @@ def md_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=4, base_mul=4, base_div=2)
 
 
-def md_census(n: int = N_ATOMS, k: int = K_NEIGHBOURS) -> ScalarWorkload:
-    pairs = n * k
-    return ScalarWorkload(
-        name="md",
-        int_ops=9 * pairs,
-        mul_ops=8 * pairs,
-        div_ops=2 * pairs,
-        loads=4 * pairs,
-        stores=3 * n,
-        branches=pairs,
-        memory_bytes=8 * (3 * n + n * k + 3 * n),
-        critical_path=0,
+def md_census(n: int = N_ATOMS, k: int = K_NEIGHBOURS,
+              ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        md_ddg(n, k) if ddg is None else ddg,
+        branches=n * k,
     )

@@ -12,7 +12,7 @@ anti-diagonals — the architecture's idiom for wavefront dependences.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -160,15 +160,9 @@ def nw_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=4, base_mul=1)
 
 
-def nw_census(length: int = SEQ_LEN) -> ScalarWorkload:
-    cells = length * length
-    return ScalarWorkload(
-        name="nw",
-        int_ops=6 * cells,
-        loads=5 * cells,
-        stores=cells,
-        branches=2 * cells,
-        memory_bytes=8 * (length + 1) * (length + 1),
-        critical_path=(2 * length - 1) * 4,  # wavefront serialisation
+def nw_census(length: int = SEQ_LEN, ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        nw_ddg(length) if ddg is None else ddg,
+        branches=2 * length * length,
         mispredict_rate=0.08,
     )

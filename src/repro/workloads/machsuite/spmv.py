@@ -13,7 +13,7 @@ Table 4 characterisation:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -212,16 +212,11 @@ def spmv_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=2, base_mul=1)
 
 
-def spmv_census(kind: str = "crs", n: int = N_ROWS) -> ScalarWorkload:
+def spmv_census(kind: str = "crs", n: int = N_ROWS,
+                ddg: Optional[Ddg] = None) -> ScalarWorkload:
     nnz = n * 7 if kind == "crs" else n * ELL_L  # mean density
-    return ScalarWorkload(
-        name=f"spmv-{kind}",
-        int_ops=nnz + n,
-        mul_ops=nnz,
-        loads=3 * nnz,  # value, column, gathered vector element
-        stores=n,
+    return ScalarWorkload.from_ddg(
+        spmv_ddg(kind, n) if ddg is None else ddg,
         branches=nnz,
-        memory_bytes=8 * (2 * nnz + 2 * n),
-        critical_path=0,
         mispredict_rate=0.15 if kind == "crs" else 0.06,
     )

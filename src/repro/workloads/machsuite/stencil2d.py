@@ -9,7 +9,7 @@ per 8-wide output block.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -146,14 +146,9 @@ def stencil2d_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=2, base_mul=2)
 
 
-def stencil2d_census(width: int = WIDTH, height: int = HEIGHT) -> ScalarWorkload:
-    macs = (width - 2) * (height - 2) * K * K
-    return ScalarWorkload(
-        name="stencil",
-        int_ops=macs,
-        mul_ops=macs,
-        loads=2 * macs,
-        stores=(width - 2) * (height - 2),
-        branches=macs // 4,
-        memory_bytes=8 * (width * height + (width - 2) * (height - 2)),
+def stencil2d_census(width: int = WIDTH, height: int = HEIGHT,
+                     ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        stencil2d_ddg(width, height) if ddg is None else ddg,
+        branches=(width - 2) * (height - 2) * K * K // 4,
     )

@@ -9,7 +9,7 @@ produces two outputs per instance.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -151,15 +151,8 @@ def stencil3d_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=4, base_mul=2)
 
 
-def stencil3d_census(side: int = SIDE) -> ScalarWorkload:
-    inner = side - 2
-    points = inner**3
-    return ScalarWorkload(
-        name="stencil3d",
-        int_ops=points * 6,
-        mul_ops=points * 2,
-        loads=points * 7,
-        stores=points,
-        branches=points // 2,
-        memory_bytes=8 * (side**3 + points),
+def stencil3d_census(side: int = SIDE, ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        stencil3d_ddg(side) if ddg is None else ddg,
+        branches=(side - 2) ** 3 // 2,
     )

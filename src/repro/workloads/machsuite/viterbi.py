@@ -14,7 +14,7 @@ dependence chains longer than the vector-port buffering.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ...baselines.asic.ddg import Ddg, Evaluator, evaluate, trace
 from ...baselines.asic.schedule import AsicDesign
@@ -170,14 +170,9 @@ def viterbi_asic_base() -> AsicDesign:
     return AsicDesign(base_alu=4, base_mul=1)
 
 
-def viterbi_census(n_states: int = N_STATES, n_steps: int = N_STEPS) -> ScalarWorkload:
-    work = (n_steps - 1) * n_states * n_states
-    return ScalarWorkload(
-        name="viterbi",
-        int_ops=2 * work,
-        loads=2 * work,
-        stores=(n_steps - 1) * n_states,
-        branches=work,
-        memory_bytes=8 * (n_states * n_states + n_steps * n_states),
-        critical_path=(n_steps - 1) * 8,  # timestep serialisation
+def viterbi_census(n_states: int = N_STATES, n_steps: int = N_STEPS,
+                   ddg: Optional[Ddg] = None) -> ScalarWorkload:
+    return ScalarWorkload.from_ddg(
+        viterbi_ddg(n_states, n_steps) if ddg is None else ddg,
+        branches=(n_steps - 1) * n_states * n_states,
     )

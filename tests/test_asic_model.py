@@ -365,11 +365,6 @@ class TestPowerArea:
             ddg, AsicDesign(partition=1)
         )
 
-    def test_energy_positive(self):
-        ddg = vector_scale_ddg(16).ddg
-        estimate = estimate_power_area(ddg, schedule_ddg(ddg, AsicDesign()))
-        assert estimate.energy_mj > 0
-
 
 class TestDse:
     def test_sweep_covers_grid(self):

@@ -42,10 +42,6 @@ class TestAffine2D:
         assert p.total_bytes == 64
         assert p.num_elements == 8
 
-    def test_extent(self):
-        p = Affine2D(100, access_size=16, stride=32, num_strides=4)
-        assert p.extent == 100 + 3 * 32 + 16
-
     def test_element_addresses_strided(self):
         p = Affine2D(0, access_size=8, stride=32, num_strides=3)
         assert list(p.element_addresses()) == [0, 32, 64]

@@ -221,12 +221,6 @@ class TestScratchpad:
         with pytest.raises(ScratchpadError):
             scratch.write(-1, b"x")
 
-    def test_word_helpers(self):
-        scratch = Scratchpad()
-        scratch.write_word(8, -3, 8)
-        assert scratch.read_word(8, signed=True) == -3
-        assert read_extended(scratch, 8, 8, False) == (1 << 64) - 3
-
     def test_stats(self):
         scratch = Scratchpad()
         scratch.write(0, b"12345678")

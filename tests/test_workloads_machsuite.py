@@ -1,12 +1,15 @@
 """Integration tests: every MachSuite kernel verifies end-to-end (small sizes)."""
 
+import ast
 import dataclasses
 import hashlib
 import inspect
+import pathlib
 
 import pytest
 
-from repro.baselines.asic.ddg import evaluate
+from repro.baselines.asic.ddg import Ddg, evaluate
+from repro.baselines.cpu import ScalarWorkload
 from repro.workloads.common import run_and_verify
 from repro.workloads.machsuite import (
     MACHSUITE,
@@ -29,6 +32,9 @@ from repro.workloads.machsuite import (
     build_stencil3d,
     build_viterbi,
 )
+
+MACHSUITE_DIR = (pathlib.Path(__file__).resolve().parent.parent
+                 / "src" / "repro" / "workloads" / "machsuite")
 
 
 class TestGemm:
@@ -293,44 +299,44 @@ DDG_SHAS = {
     ("backprop", 21): "56fd1f33a562c5df983a5b168c4922a558a937ff130b837d6240e07de91aec43",
 }
 
-#: kernel -> its CPU census (``ScalarWorkload``), field by field
+#: kernel -> its CPU census (``ScalarWorkload``), field by field.  Every
+#: field but ``branches`` and ``mispredict_rate`` is the kernel DDG's own
+#: count.
 CENSUS = {
-    # 4 sweeps, the default graph's depth (it was a hard-coded 6: loads
-    # 6912, stores 576, int_ops and branches 4608, critical_path 72)
-    "bfs": dict(name="bfs", int_ops=3072, mul_ops=0, div_ops=0, loads=4608,
-                stores=384, branches=3072, critical_path=48,
+    "bfs": dict(name="bfs", int_ops=1920, mul_ops=0, div_ops=0, loads=3456,
+                stores=384, branches=3072, critical_path=365,
                 memory_bytes=3840, mispredict_rate=0.12),
-    "spmv-crs": dict(name="spmv-crs", int_ops=768, mul_ops=672, div_ops=0,
-                     loads=2016, stores=96, branches=672, critical_path=0,
-                     memory_bytes=12288, mispredict_rate=0.15),
-    "spmv-ellpack": dict(name="spmv-ellpack", int_ops=864, mul_ops=768,
+    "spmv-crs": dict(name="spmv-crs", int_ops=676, mul_ops=676, div_ops=0,
+                     loads=2028, stores=96, branches=672, critical_path=19,
+                     memory_bytes=12352, mispredict_rate=0.15),
+    "spmv-ellpack": dict(name="spmv-ellpack", int_ops=768, mul_ops=768,
                          div_ops=0, loads=2304, stores=96, branches=768,
-                         critical_path=0, memory_bytes=13824,
+                         critical_path=15, memory_bytes=13824,
                          mispredict_rate=0.06),
     "stencil": dict(name="stencil", int_ops=4608, mul_ops=4608, div_ops=0,
-                    loads=9216, stores=512, branches=1152, critical_path=0,
-                    memory_bytes=8992, mispredict_rate=0.02),
+                    loads=9216, stores=512, branches=1152, critical_path=16,
+                    memory_bytes=9064, mispredict_rate=0.02),
     "stencil3d": dict(name="stencil3d", int_ops=6000, mul_ops=2000, div_ops=0,
-                      loads=7000, stores=1000, branches=500, critical_path=0,
+                      loads=7000, stores=1000, branches=500, critical_path=11,
                       memory_bytes=21824, mispredict_rate=0.02),
-    "gemm": dict(name="gemm", int_ops=14400, mul_ops=13824, div_ops=0,
-                 loads=27648, stores=576, branches=3456, critical_path=0,
+    "gemm": dict(name="gemm", int_ops=13824, mul_ops=13824, div_ops=0,
+                 loads=27648, stores=576, branches=3456, critical_path=31,
                  memory_bytes=13824, mispredict_rate=0.02),
     "md": dict(name="md", int_ops=6912, mul_ops=6144, div_ops=1536,
-               loads=3072, stores=192, branches=768, critical_path=0,
+               loads=3072, stores=192, branches=768, critical_path=50,
                memory_bytes=9216, mispredict_rate=0.02),
     "viterbi": dict(name="viterbi", int_ops=11776, mul_ops=0, div_ops=0,
-                    loads=11776, stores=368, branches=5888, critical_path=184,
-                    memory_bytes=5120, mispredict_rate=0.02),
+                    loads=12144, stores=368, branches=5888, critical_path=483,
+                    memory_bytes=5376, mispredict_rate=0.02),
     "fft": dict(name="fft", int_ops=1536, mul_ops=768, div_ops=0, loads=1152,
                 stores=768, branches=192, critical_path=60, memory_bytes=1536,
                 mispredict_rate=0.02),
-    "nw": dict(name="nw", int_ops=3456, mul_ops=0, div_ops=0, loads=2880,
-               stores=576, branches=1152, critical_path=188,
-               memory_bytes=5000, mispredict_rate=0.08),
+    "nw": dict(name="nw", int_ops=4032, mul_ops=0, div_ops=0, loads=2880,
+               stores=576, branches=1152, critical_path=330,
+               memory_bytes=5384, mispredict_rate=0.08),
     "backprop": dict(name="backprop", int_ops=1152, mul_ops=768, div_ops=0,
-                     loads=1152, stores=408, branches=96, critical_path=0,
-                     memory_bytes=3392, mispredict_rate=0.02),
+                     loads=792, stores=408, branches=96, critical_path=23,
+                     memory_bytes=3584, mispredict_rate=0.02),
 }
 
 
@@ -364,43 +370,63 @@ class TestKernelLock:
         assert dataclasses.asdict(census) == CENSUS[kernel]
 
 
-#: kernel -> {census field: (census, kernel DDG)} for every field where the
-#: CPU census and the kernel's own op counts disagree, as measured; every
-#: other field agrees.  A census fix edits this table.
-CENSUS_VS_KERNEL = {
-    "bfs": {"loads": (4608, 3456), "int_ops": (3072, 1920)},
-    "spmv-crs": {"loads": (2016, 2028), "int_ops": (768, 676),
-                 "mul_ops": (672, 676)},
-    "spmv-ellpack": {"int_ops": (864, 768)},
-    "gemm": {"int_ops": (14400, 13824)},
-    "viterbi": {"loads": (11776, 12144)},
-    "nw": {"int_ops": (3456, 4032)},
-    "backprop": {"loads": (1152, 792)},
-}
-
-#: census field -> the DDG op kinds it counts
-CENSUS_KINDS = {
-    "loads": ("load",),
-    "stores": ("store",),
-    "int_ops": ("add", "cmp", "shift", "logic"),
-    "mul_ops": ("mul",),
-    "div_ops": ("div",),
-}
-
-
 class TestCensusVsKernel:
-    """The CPU census is written by hand; the kernel counts its own ops."""
+    """The CPU census is the kernel's own DDG plus its control flow."""
 
     @pytest.mark.parametrize("kernel", sorted(MACHSUITE))
     def test_census_against_kernel(self, kernel):
         _, ddg_fn, census_fn, _ = MACHSUITE[kernel]
         census = census_fn()
-        histogram = ddg_fn().op_histogram()
-        assert set(histogram) <= {k for kinds in CENSUS_KINDS.values()
-                                  for k in kinds}
-        disagree = {}
-        for field, kinds in CENSUS_KINDS.items():
-            counted = sum(histogram.get(kind, 0) for kind in kinds)
-            if getattr(census, field) != counted:
-                disagree[field] = (getattr(census, field), counted)
-        assert disagree == CENSUS_VS_KERNEL.get(kernel, {})
+        ddg = ddg_fn()
+        assert census == ScalarWorkload.from_ddg(
+            ddg, census.branches, census.mispredict_rate)
+        assert census_fn(ddg=ddg) == census
+
+    def test_op_kind_without_a_field_is_named(self):
+        ddg = Ddg("lookup")
+        ddg.add("special", [ddg.add("load", [], "x", 0)])
+        with pytest.raises(ValueError, match="lookup.*special"):
+            ScalarWorkload.from_ddg(ddg, branches=0)
+
+
+#: ``ScalarWorkload`` fields a DDG counts, which a MachSuite module must
+#: not state by hand
+DERIVED_FIELDS = {"int_ops", "mul_ops", "div_ops", "loads", "stores",
+                  "memory_bytes", "critical_path"}
+
+
+def _hand_counts(tree):
+    """(line, field) for each derived field passed by keyword to a
+    ``ScalarWorkload(...)`` call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "ScalarWorkload"):
+            for keyword in node.keywords:
+                if keyword.arg in DERIVED_FIELDS:
+                    yield node.lineno, keyword.arg
+
+
+def test_no_hand_counts_in_machsuite():
+    """A MachSuite census states only its control flow: the op counts,
+    ``memory_bytes`` and ``critical_path`` come from ``from_ddg``."""
+    found = []
+    for path in sorted(MACHSUITE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {field}"
+                  for line, field in _hand_counts(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_hand_count_guard_catches_each_field():
+    source = (
+        "ScalarWorkload(name='x', int_ops=1, mul_ops=1, div_ops=1,\n"
+        "               loads=3, stores=1, branches=2)\n"
+        "ScalarWorkload.from_ddg(ddg, branches=2, mispredict_rate=0.1)\n"
+        "ScalarWorkload('x', branches=1,\n"
+        "               memory_bytes=8, critical_path=4)\n"
+    )
+    assert sorted(_hand_counts(ast.parse(source))) == sorted(
+        [(1, field) for field in ("int_ops", "mul_ops", "div_ops", "loads",
+                                  "stores")]
+        + [(4, "memory_bytes"), (4, "critical_path")])
