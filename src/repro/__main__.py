@@ -16,6 +16,8 @@ Usage::
     python -m repro fuzz --faults             # fuzz under injected faults
     python -m repro faults                    # fault-injection campaign
     python -m repro faults --show dump.json   # pretty-print a crash dump
+    python -m repro profile gemm              # sampled host-time shares
+                                              # (also: suite, fuzz --count N)
 
 ``run`` and ``timeline`` also accept ``--trace-out PATH`` to record a
 trace alongside their normal output (``.jsonl`` = JSON Lines, anything
@@ -213,6 +215,27 @@ def _cmd_faults(args) -> int:
     return cmd_faults(args)
 
 
+def _cmd_profile(args) -> int:
+    """Sample host time per stage and per simulator component."""
+    from .trace import profile
+
+    if args.target == "fuzz":
+        sampler, diverged = profile.profile_fuzz(args.seed, args.count)
+        title = (f"fuzz --seed {args.seed} --count {args.count} "
+                 f"({diverged} diverged)")
+        print(profile.report(title, sampler, profile.FUZZ_STAGES))
+        return 1 if diverged else 0
+    names = profile.workload_names()
+    if args.target != "suite":
+        if args.target not in names:
+            raise SystemExit(f"unknown workload {args.target!r}; try "
+                             f"'python -m repro list'")
+        names = [args.target]
+    sampler = profile.profile_workloads(names)
+    print(profile.report(args.target, sampler, profile.WORKLOAD_STAGES))
+    return 0
+
+
 def _cmd_table(name: str) -> int:
     from . import experiments as exp
 
@@ -311,6 +334,18 @@ def main(argv=None) -> int:
     from .resilience.cli import add_faults_parser
     add_faults_parser(sub)
 
+    profile_parser = sub.add_parser(
+        "profile",
+        help="sampled host-time shares per stage and simulator component "
+             "(Unix only; see docs/TRACING.md)",
+    )
+    profile_parser.add_argument(
+        "target", help="a workload, 'suite' (all 21) or 'fuzz'")
+    profile_parser.add_argument("--seed", type=int, default=0,
+                                help="fuzz seed (fuzz only)")
+    profile_parser.add_argument("--count", type=int, default=200,
+                                help="fuzz cases (fuzz only)")
+
     for table in ("table1", "table3", "table4",
                   "fig11", "fig12", "fig13", "fig14", "fig15"):
         sub.add_parser(table, help=f"render {table}")
@@ -328,6 +363,8 @@ def main(argv=None) -> int:
         return _cmd_fuzz(args)
     if args.command == "faults":
         return _cmd_faults(args)
+    if args.command == "profile":
+        return _cmd_profile(args)
     return _cmd_table(args.command)
 
 

@@ -114,6 +114,9 @@ class Dfg:
         self.outputs: Dict[str, OutputPort] = {}
         self.instructions: Dict[str, Instruction] = {}
         self._topo_cache: Optional[List[Instruction]] = None
+        #: bumped by every ``add_*`` call, the graph's only mutators, so a
+        #: result derived from the graph is current while this matches
+        self.revision = 0
 
     # -- construction --------------------------------------------------------
 
@@ -123,6 +126,7 @@ class Dfg:
             raise DfgError(f"port {name!r}: width must be in 1..8, got {width}")
         port = InputPort(name, width)
         self.inputs[name] = port
+        self.revision += 1
         return port
 
     def add_output(self, name: str, sources: Sequence[ValueRef]) -> OutputPort:
@@ -132,6 +136,7 @@ class Dfg:
             raise DfgError(f"port {name!r}: width must be in 1..8")
         port = OutputPort(name, len(sources), sources)
         self.outputs[name] = port
+        self.revision += 1
         return port
 
     def add_instruction(
@@ -147,6 +152,7 @@ class Dfg:
         inst = Instruction(name, op, list(operands), lane_bits)
         self.instructions[name] = inst
         self._topo_cache = None
+        self.revision += 1
         return inst
 
     def _check_fresh_name(self, name: str) -> None:

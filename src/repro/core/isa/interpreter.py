@@ -91,10 +91,10 @@ class _State:
         # Local import: CompiledDfg is purely functional, but it lives in
         # the simulator package and importing it at module scope would make
         # the core layer depend on sim at import time.
-        from ...sim.cgra_exec import CompiledDfg
+        from ...sim.cgra_exec import compile_dfg
 
         config = self.config = self.program.config_images[command.address]
-        self.compiled = CompiledDfg(config.dfg)
+        self.compiled = compile_dfg(config.dfg)
         self.acc_state = self.compiled.make_state()
         self.cgra_inputs = [
             (port.width, self.queue("in", config.hw_input_port(name)))

@@ -163,6 +163,20 @@ class CasePlan:
     recur_in: str = ""
     recur_out: str = ""
     interleave_seed: int = 0
+    #: ``(spec, key)``: :func:`spec_key` of the spec object ``dfg_spec``
+    #: held when it was taken; neither compared nor serialised
+    keyed_spec: Optional[Tuple[dict, str]] = field(
+        default=None, compare=False, repr=False)
+
+    def schedule_key(self) -> str:
+        """``dfg_spec``'s schedule-memo key, serialised once per spec
+        object: a plan whose ``dfg_spec`` is reassigned (as the shrinker
+        does) takes a new key.  A spec is never edited in place once its
+        plan is built."""
+        keyed = self.keyed_spec
+        if keyed is None or keyed[0] is not self.dfg_spec:
+            keyed = self.keyed_spec = (self.dfg_spec, spec_key(self.dfg_spec))
+        return keyed[1]
 
 
 def plan_to_json(plan: CasePlan) -> str:
@@ -328,16 +342,23 @@ SCHEDULE_CACHE_SIZE = 2048
 _SCHEDULE_CACHE: Dict[Tuple[str, int], CgraConfig] = {}
 
 
-def schedule_plan_dfg(dfg_spec: dict, schedule_seed: int) -> CgraConfig:
+def spec_key(dfg_spec: dict) -> str:
+    """A DFG spec as the schedule memo's key text."""
+    return json.dumps(dfg_spec, sort_keys=True)
+
+
+def schedule_plan_dfg(dfg_spec: dict, schedule_seed: int,
+                      key: Optional[str] = None) -> CgraConfig:
     """Schedule a plan's DFG on the fuzz fabric (memoised: the generator
     and the oracle's three legs all need the same configuration).
 
+    ``key`` is :func:`spec_key` of ``dfg_spec`` when the caller holds it.
     The memo keeps the :data:`SCHEDULE_CACHE_SIZE` most recently used
     schedules, so a campaign's memory does not grow with its case count.
     """
     from .generators import dfg_from_spec
 
-    key = (json.dumps(dfg_spec, sort_keys=True), schedule_seed)
+    key = (spec_key(dfg_spec) if key is None else key, schedule_seed)
     cache = _SCHEDULE_CACHE
     config = cache.pop(key, None)
     if config is not None:
@@ -387,7 +408,8 @@ def build_case(plan: CasePlan) -> BuiltCase:
     ``interleave_seed``), so equal plans produce byte-identical programs.
     """
     validate_plan(plan)
-    config = schedule_plan_dfg(plan.dfg_spec, plan.schedule_seed)
+    config = schedule_plan_dfg(plan.dfg_spec, plan.schedule_seed,
+                               plan.schedule_key())
     program = StreamProgram(plan.name, config)
 
     alloc = Allocator()

@@ -380,15 +380,16 @@ def random_plan(rng: random.Random, *, name: str = "fuzz") -> CasePlan:
     the spatial scheduler accepts it (narrow fabrics reject some port
     shapes); everything after that is legal by construction.
     """
-    from .case import schedule_plan_dfg  # local: avoids import cycle
+    from .case import schedule_plan_dfg, spec_key  # local: import cycle
 
     instances = rng.randint(1, MAX_INSTANCES)
     for _ in range(32):
         dfg_seed = rng.randrange(1_000_000)
         dfg = random_dfg(dfg_seed, rng.randint(1, 3), rng.randint(1, 8))
         spec = dfg_to_spec(dfg)
+        key = spec_key(spec)
         try:
-            schedule_plan_dfg(spec, schedule_seed=0)
+            schedule_plan_dfg(spec, 0, key)
         except Exception:
             continue
         break
@@ -435,4 +436,5 @@ def random_plan(rng: random.Random, *, name: str = "fuzz") -> CasePlan:
         recur_in=recur_in,
         recur_out=recur_out,
         interleave_seed=rng.getrandbits(32),
+        keyed_spec=(spec, key),
     )

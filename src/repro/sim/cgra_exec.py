@@ -10,11 +10,14 @@ leave in firing order: :class:`CgraExecutor` queues them in ``deliveries``
 and the simulator's step pushes each into the output ports when due.
 
 :class:`CompiledDfg` flattens a validated DFG into an index-addressed step
-list so the per-firing cost in the simulator stays small.
+list so the per-firing cost in the simulator stays small; :func:`compile_dfg`
+hands every user of one graph (the simulator, each unit of a device, the
+functional interpreter) the same compile.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Callable, Deque, Dict, List, Tuple
 
@@ -275,6 +278,28 @@ class CompiledDfg:
         return [[values[i] for i in slots] for slots in self.output_slots]
 
 
+#: compiles :func:`compile_dfg` keeps: a fuzz case's simulator and
+#: interpreter legs, or every unit of a device, share one graph
+COMPILE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compile(dfg: Dfg, revision: int) -> CompiledDfg:
+    return CompiledDfg(dfg)
+
+
+def compile_dfg(dfg: Dfg) -> CompiledDfg:
+    """The :class:`CompiledDfg` of ``dfg``, memoised per graph object.
+
+    A compile holds no run state (accumulators come from
+    :meth:`CompiledDfg.make_state`, values from a fresh list per
+    :meth:`CompiledDfg.run`), so its users share it.  It is served only
+    while the graph's ``revision`` is the one it was compiled at.  The
+    memo keeps the :data:`COMPILE_CACHE_SIZE` most recently used compiles.
+    """
+    return _compile(dfg, dfg.revision)
+
+
 class CgraExecutor:
     """Runtime firing logic for the currently-loaded configuration.
 
@@ -287,7 +312,7 @@ class CgraExecutor:
         self.sim = sim
         self.config = config
         self.latency = config.latency
-        self.compiled = CompiledDfg(config.dfg)
+        self.compiled = compile_dfg(config.dfg)
         self.state = self.compiled.make_state()
         #: in-order pipeline exits: (ready_cycle, one word list per output)
         self.deliveries: Deque[Tuple[int, List[List[int]]]] = deque()

@@ -86,6 +86,12 @@ class BackingStore:
         return page
 
     def read(self, addr: int, size: int) -> bytes:
+        """``size`` bytes at ``addr``, materialising every page they touch
+        (absent bytes read as zeros); an access inside one page is one
+        slice, a longer one walks the pages."""
+        offset = addr & (PAGE_BYTES - 1)
+        if 0 < size <= PAGE_BYTES - offset:
+            return bytes(self._page(addr)[offset:offset + size])
         out = bytearray(size)
         pos = 0
         while pos < size:
@@ -97,8 +103,14 @@ class BackingStore:
         return bytes(out)
 
     def write(self, addr: int, data: bytes) -> None:
-        pos = 0
+        """Store ``data`` at ``addr``; one slice inside a page, as
+        :meth:`read`."""
         size = len(data)
+        offset = addr & (PAGE_BYTES - 1)
+        if 0 < size <= PAGE_BYTES - offset:
+            self._page(addr)[offset:offset + size] = data
+            return
+        pos = 0
         while pos < size:
             page = self._page(addr + pos)
             offset = (addr + pos) & (PAGE_BYTES - 1)

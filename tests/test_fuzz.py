@@ -199,6 +199,59 @@ class TestScheduleMemo:
         assert [key[1] for key in case._SCHEDULE_CACHE] == [0, 1]
 
 
+class TestPerCaseWork:
+    """What a case pays once: one compile shared by the simulator and the
+    interpreter, and one serialisation of the plan's DFG spec."""
+
+    def test_run_case_compiles_once(self, monkeypatch):
+        from .test_property_dfg import count_compiles
+
+        compiled = count_compiles(monkeypatch)
+        plan = _plan("compile-once")
+        assert run_case(plan).ok
+        assert compiled == [build_case(plan).config.dfg]
+
+    def test_build_after_random_plan_serialises_nothing(self, monkeypatch):
+        import json
+
+        plan = _plan("no-dumps")
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        build_case(plan)
+        build_case(plan)
+        assert calls == []
+
+    def test_reassigned_spec_is_scheduled_anew(self):
+        """The shrinker swaps in a new ``dfg_spec`` (a pass-through with
+        the same port shapes); the next build schedules that DFG, also on
+        a plan whose old spec was already keyed."""
+        plan = _plan("reassign")
+        assert build_case(plan).config.dfg.name != "passthrough"
+        plan.dfg_spec = passthrough_dfg_spec(
+            {port["name"]: port["width"] for port in plan.dfg_spec["inputs"]},
+            {port["name"]: len(port["sources"])
+             for port in plan.dfg_spec["outputs"]})
+        built = build_case(plan)
+        assert built.config.dfg.name == "passthrough"
+        assert run_case(plan).ok
+
+    def test_shrinker_passthrough_candidate_schedules_it(self):
+        from repro.fuzz.shrink import _candidates
+
+        plan = _plan("reassign")
+        build_case(plan)
+        (candidate,) = [c for c in _candidates(plan)
+                        if c.dfg_spec.get("name") == "passthrough"
+                        and c.feeds == plan.feeds]
+        assert build_case(candidate).config.dfg.name == "passthrough"
+
+
 class TestSeedDeterminism:
     def test_same_seed_same_program_bytes(self):
         """Same fuzz seed => byte-identical case JSON, byte-identical

@@ -48,6 +48,18 @@ class TestMultiUnit:
                 f"unit {index} drifted from {path.name}; re-bless an "
                 f"intended timing change with --update-golden")
 
+    def test_units_on_one_configuration_compile_it_once(self, monkeypatch):
+        from repro.fuzz import build_case, trivial_plan
+
+        from .test_property_dfg import count_compiles
+
+        built = build_case(trivial_plan())
+        compiled = count_compiles(monkeypatch)
+        result = run_multi_unit([built.program] * 4, [built.fabric] * 4,
+                                memory=built.fresh_memory())
+        assert [r.stats.instances_fired for r in result.unit_results] == [1] * 4
+        assert compiled == [built.config.dfg]
+
     def test_device_cycles_is_slowest_unit(self):
         layer = ClassifierLayer("mu2", ni=64, nn=8)
         result = run_units_and_verify(build_units(layer, 2))

@@ -33,11 +33,67 @@ from repro.core.isa.patterns import Affine2D, LINE_BYTES, affine_requests
 # The random-DFG pool lives in the fuzz package now (the fuzzer and these
 # property tests share one generator); re-exported here for hypothesis use.
 from repro.fuzz.generators import RANDOM_OPS, random_dfg, random_inputs
-from repro.sim.cgra_exec import CompiledDfg
+from repro.sim import cgra_exec
+from repro.sim.cgra_exec import CompiledDfg, compile_dfg
 
 from .test_property_fastpath import run_by_name
 
 __all__ = ["RANDOM_OPS", "random_dfg", "random_inputs"]
+
+
+def count_compiles(monkeypatch):
+    """Empty the compile memo and record every graph compiled from now on."""
+    cgra_exec._compile.cache_clear()
+    compiled = []
+    init = CompiledDfg.__init__
+
+    def counted(self, dfg):
+        compiled.append(dfg)
+        init(self, dfg)
+
+    monkeypatch.setattr(CompiledDfg, "__init__", counted)
+    return compiled
+
+
+class TestCompileMemo:
+    def test_one_compile_per_graph(self, monkeypatch):
+        compiled = count_compiles(monkeypatch)
+        dfg = random_dfg(1, 2, 6)
+        first = compile_dfg(dfg)
+        assert compile_dfg(dfg) is first
+        assert compiled == [dfg]
+
+    def test_mutated_graph_is_compiled_again(self, monkeypatch):
+        """A graph changed after it was compiled is never served the stale
+        compile: each ``add_*`` call changes what the compile must hold."""
+        compiled = count_compiles(monkeypatch)
+        dfg = Dfg("grow")
+        dfg.add_input("A", 1)
+        dfg.add_instruction("x", "add", [ValueRef("A"), Constant(2)])
+        dfg.add_output("O", [ValueRef("x")])
+        first = compile_dfg(dfg)
+        dfg.add_instruction("y", "mul", [ValueRef("x"), Constant(3)])
+        dfg.add_output("P", [ValueRef("y")])
+        second = compile_dfg(dfg)
+        assert second is not first and len(compiled) == 2
+        assert run_by_name(second, {"A": [5]}, []) == dfg.execute({"A": [5]})
+        dfg.add_input("B", 2)
+        assert compile_dfg(dfg).num_inputs == 3
+        assert compile_dfg(dfg) is compile_dfg(dfg)
+        assert len(compiled) == 3
+
+    def test_memo_keeps_the_most_recently_used_graphs(self, monkeypatch):
+        compiled = count_compiles(monkeypatch)
+        size = cgra_exec.COMPILE_CACHE_SIZE
+        graphs = [random_dfg(seed, 1, 3) for seed in range(size + 1)]
+        first = compile_dfg(graphs[0])
+        for dfg in graphs[1:size]:
+            compile_dfg(dfg)
+        assert compile_dfg(graphs[0]) is first  # now the most recent
+        compile_dfg(graphs[size])  # evicts graphs[1], not graphs[0]
+        assert compile_dfg(graphs[0]) is first
+        compile_dfg(graphs[1])
+        assert compiled == graphs + [graphs[1]]
 
 
 class TestCompiledEquivalence:

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from repro.sim.memory import BackingStore, MemoryParams, MemorySystem
+from repro.sim.memory import PAGE_BYTES, BackingStore, MemoryParams, MemorySystem
 from repro.sim.scratchpad import Scratchpad, ScratchpadError
 from repro.trace import ListSink
 
@@ -153,6 +153,83 @@ class TestBackingStore:
         store.write_word(1 << 40, 2)
         assert store.read_word(0) == 1
         assert store.read_word(1 << 40) == 2
+
+
+class PageLoopStore(BackingStore):
+    """Reference: every access walks the pages, one chunk per page, as
+    the store did before accesses inside one page became one slice."""
+
+    def read(self, addr, size):
+        out = bytearray(size)
+        pos = 0
+        while pos < size:
+            page = self._page(addr + pos)
+            offset = (addr + pos) & (PAGE_BYTES - 1)
+            chunk = min(size - pos, PAGE_BYTES - offset)
+            out[pos:pos + chunk] = page[offset:offset + chunk]
+            pos += chunk
+        return bytes(out)
+
+    def write(self, addr, data):
+        pos = 0
+        while pos < len(data):
+            page = self._page(addr + pos)
+            offset = (addr + pos) & (PAGE_BYTES - 1)
+            chunk = min(len(data) - pos, PAGE_BYTES - offset)
+            page[offset:offset + chunk] = data[pos:pos + chunk]
+            pos += chunk
+
+
+#: (addr, size) of accesses at the edges of the one-slice path: ending
+#: exactly at a page end, straddling one or two page boundaries, a whole
+#: page, and empty accesses (which touch no page)
+EDGE_ACCESSES = [
+    (PAGE_BYTES - 8, 8), (PAGE_BYTES - 1, 1), (0, PAGE_BYTES),
+    (PAGE_BYTES - 3, 6), (PAGE_BYTES - 1, 2), (2 * PAGE_BYTES - 4, 8),
+    (PAGE_BYTES - 5, PAGE_BYTES + 10), (3 * PAGE_BYTES, 0),
+    (5 * PAGE_BYTES - 2, 0), (7 * PAGE_BYTES + 100, 4),
+]
+
+
+class TestOneSliceAccess:
+    """``BackingStore.read``/``write`` against :class:`PageLoopStore`:
+    the same bytes, and the same pages materialised."""
+
+    @staticmethod
+    def _both(accesses):
+        store, reference = BackingStore(), PageLoopStore()
+        for kind, addr, size, fill in accesses:
+            if kind == "w":
+                data = bytes((fill + i) & 0xFF for i in range(size))
+                store.write(addr, data)
+                reference.write(addr, data)
+            else:
+                assert store.read(addr, size) == reference.read(addr, size)
+        assert store.snapshot_pages() == reference.snapshot_pages()
+        return store
+
+    @pytest.mark.parametrize("addr, size", EDGE_ACCESSES)
+    def test_edge_accesses(self, addr, size):
+        # a write then a read of the access, and a read of an absent page
+        self._both([("w", addr, size, 7), ("r", addr, size, 0),
+                    ("r", addr + 9 * PAGE_BYTES, size, 0)])
+
+    def test_empty_access_materialises_no_page(self):
+        store = self._both([("r", 123, 0, 0), ("w", PAGE_BYTES - 1, 0, 0)])
+        assert store.snapshot_pages() == {}
+        assert store.read(5, 0) == b""
+
+    def test_random_accesses(self):
+        rng = random.Random("one-slice")
+        accesses = []
+        for _ in range(2000):
+            addr = rng.randrange(4 * PAGE_BYTES)
+            if rng.random() < 0.3:  # near a page boundary
+                addr = (addr | (PAGE_BYTES - 1)) - rng.randrange(16)
+            size = rng.choice((0, 1, 2, 4, 8, 8, 16, 64, PAGE_BYTES + 3))
+            accesses.append((rng.choice("rw"), addr, size,
+                             rng.randrange(256)))
+        self._both(accesses)
 
 
 class TestMemoryTiming:
